@@ -7,21 +7,24 @@
 //! instead of spinning, and how late it wrote each request is reported as
 //! its own number.
 
-use crate::model::{check, Plan};
+use crate::model::{check, Plan, Verdict};
 use crate::server::Scrape;
 use crate::spec::{encode, Op, COMMANDS, FLIGHT, FLIGHTS_OUT};
 use crate::wire::{push_command, Frame, Replies};
 use crate::Result;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Completed ops, failures and written bytes, by command.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Tally {
     pub attempted: u64,
+    /// Replies the model rejected, of any kind.
     pub failed: u64,
+    /// The failed replies that are not the known hash-prefix aliasing
+    /// ([`Verdict::Wrong`]); a run is correct only when this is 0.
+    pub wrong: u64,
     /// Completed commands by [`COMMANDS`] index.
     pub commands: [u64; 4],
     /// User bytes the writes carried: key and value (for HSET, the hash
@@ -30,19 +33,26 @@ pub struct Tally {
 }
 
 impl Tally {
-    fn record(&mut self, op: Op, ok: bool) {
+    fn record(&mut self, op: Op, verdict: Verdict) {
         self.attempted += 1;
-        self.failed += u64::from(!ok);
+        self.failed += u64::from(verdict != Verdict::Ok);
+        self.wrong += u64::from(verdict == Verdict::Wrong);
         self.commands[op.command()] += 1;
     }
 
     pub fn add(&mut self, other: &Tally) {
         self.attempted += other.attempted;
         self.failed += other.failed;
+        self.wrong += other.wrong;
         for (a, b) in self.commands.iter_mut().zip(other.commands) {
             *a += b;
         }
         self.written_bytes += other.written_bytes;
+    }
+
+    /// Whether every failed reply was the known hash-prefix aliasing.
+    pub fn correct(&self) -> bool {
+        self.wrong == 0
     }
 
     pub fn reads(&self) -> u64 {
@@ -109,11 +119,9 @@ impl Conn {
     /// commands, keeping [`FLIGHTS_OUT`] flights outstanding: each time a
     /// flight's replies are all read, the next flight is sent, so the
     /// server finds the next flight queued instead of waiting a round trip
-    /// for it. Returns the tally and the completion time of every `chunk`
-    /// ops (for per-chunk throughput).
-    pub fn closed_loop(&mut self, plan: &Plan, chunk: usize) -> Result<(Tally, Vec<Instant>)> {
+    /// for it.
+    pub fn closed_loop(&mut self, plan: &Plan) -> Result<Tally> {
         let mut tally = Tally::default();
-        let mut marks = vec![Instant::now()];
         let flights: Vec<&[Op]> = plan.ops.chunks(FLIGHT).collect();
         for ops in flights.iter().take(FLIGHTS_OUT) {
             self.send_flight(ops, &mut tally)?;
@@ -121,18 +129,14 @@ impl Conn {
         for (f, ops) in flights.iter().enumerate() {
             for (i, &op) in ops.iter().enumerate() {
                 let (frame, buf) = self.replies.next()?;
-                let ok = check(&plan.expects[f * FLIGHT + i], &frame, buf, self.seed);
-                tally.record(op, ok);
+                let verdict = check(&plan.expects[f * FLIGHT + i], &frame, buf, self.seed);
+                tally.record(op, verdict);
             }
             if let Some(next) = flights.get(f + FLIGHTS_OUT) {
                 self.send_flight(next, &mut tally)?;
             }
-            let done = f * FLIGHT + ops.len();
-            if done / chunk > (done - ops.len()) / chunk {
-                marks.push(Instant::now());
-            }
         }
-        Ok((tally, marks))
+        Ok(tally)
     }
 
     fn send_flight(&mut self, ops: &[Op], tally: &mut Tally) -> Result<()> {
@@ -147,18 +151,11 @@ impl Conn {
     /// Run `plan` as an open loop at `rate` requests/s on this connection,
     /// from this one thread: write every request that is due, read every
     /// reply that has arrived, and sleep in `ppoll` until the next due time
-    /// or the next reply. Once `stop` is set no further request is sent and
-    /// the outstanding replies are drained. Returns the tally, each
-    /// request's latency from its due time, and how late each request was
-    /// written (both in µs).
-    pub fn open_loop(
-        &mut self,
-        plan: &Plan,
-        rate: u64,
-        stop: Option<&AtomicBool>,
-    ) -> Result<(Tally, Vec<f64>, Vec<f64>)> {
+    /// or the next reply. Returns the tally, each request's latency from
+    /// its due time, and how late each request was written (both in µs).
+    pub fn open_loop(&mut self, plan: &Plan, rate: u64) -> Result<(Tally, Vec<f64>, Vec<f64>)> {
         self.stream.set_nonblocking(true)?;
-        let result = self.open_loop_nonblocking(plan, rate, stop);
+        let result = self.open_loop_nonblocking(plan, rate);
         self.stream.set_nonblocking(false)?;
         result
     }
@@ -167,23 +164,19 @@ impl Conn {
         &mut self,
         plan: &Plan,
         rate: u64,
-        stop: Option<&AtomicBool>,
     ) -> Result<(Tally, Vec<f64>, Vec<f64>)> {
         let schedule = Schedule::new(Instant::now(), rate);
         let n = plan.ops.len();
         let mut tally = Tally::default();
         let mut latencies = Vec::with_capacity(n);
         let mut lags = Vec::with_capacity(n);
-        let (mut sent, mut received, mut limit) = (0, 0, n);
+        let (mut sent, mut received) = (0, 0);
         let mut written = 0;
         self.buf.clear();
         loop {
-            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                limit = sent;
-            }
             let now = Instant::now();
             let first = sent;
-            while sent < limit && schedule.due(sent) <= now {
+            while sent < n && schedule.due(sent) <= now {
                 self.push(plan.ops[sent], &mut tally);
                 sent += 1;
             }
@@ -213,20 +206,20 @@ impl Conn {
                         return Err("a reply arrived for a request never sent".into());
                     }
                     latencies.push(schedule.late_us(received, at));
-                    let ok = check(
+                    let verdict = check(
                         &plan.expects[received],
                         &frame,
                         self.replies.buf(),
                         self.seed,
                     );
-                    tally.record(plan.ops[received], ok);
+                    tally.record(plan.ops[received], verdict);
                     received += 1;
                 }
             }
-            if received == limit {
+            if received == n {
                 return Ok((tally, latencies, lags));
             }
-            let next_due = (sent < limit).then(|| schedule.due(sent));
+            let next_due = (sent < n).then(|| schedule.due(sent));
             let timeout = next_due.map(|due| due.saturating_duration_since(Instant::now()));
             wait(&self.stream, written < self.buf.len(), timeout)?;
         }
@@ -336,6 +329,26 @@ pub fn set_fine_timer_slack() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Model;
+    use crate::spec::{push_value, string_tag, VALUE_BYTES};
+
+    /// A stale GET reply makes the run incorrect.
+    #[test]
+    fn stale_get_makes_the_run_incorrect() {
+        let mut model = Model::default();
+        model.apply(Op::Set(3, 0));
+        model.apply(Op::Set(3, 0));
+        let (op, expect) = model.apply(Op::Get(3));
+        let mut stale = Vec::new();
+        push_value(&mut stale, 5, string_tag(3), 1, VALUE_BYTES);
+        let mut t = Tally::default();
+        t.record(
+            op,
+            check(&expect, &Frame::Bulk(Some(0..stale.len())), &stale, 5),
+        );
+        assert_eq!((t.failed, t.wrong), (1, 1));
+        assert!(!t.correct());
+    }
 
     #[test]
     fn open_loop_charges_stalls_from_the_due_time() {
@@ -359,12 +372,17 @@ mod tests {
     #[test]
     fn tally_counts_failures_and_agrees_with_counters() {
         let mut t = Tally::default();
-        t.record(Op::Get(crate::spec::Space::Cached, 1), true);
-        t.record(Op::Set(crate::spec::Space::Cached, 1, 1), false);
-        assert_eq!((t.attempted, t.failed), (2, 1));
-        assert_eq!((t.reads(), t.writes()), (1, 1));
+        t.record(Op::Get(1), Verdict::Ok);
+        t.record(Op::HGetAll(20), Verdict::Aliased);
+        assert!(t.correct(), "the known aliasing fails a reply, not the run");
+        t.record(Op::Set(1, 1), Verdict::Wrong);
+        assert_eq!((t.attempted, t.failed, t.wrong), (3, 2, 1));
+        assert_eq!((t.reads(), t.writes()), (2, 1));
+        let mut total = Tally::default();
+        total.add(&t);
+        assert!(!total.correct());
         let mut delta = Scrape::parse(
-            "abase_server_commands_total{command=\"GET\"} 1\nabase_server_commands_total{command=\"SET\"} 1\n",
+            "abase_server_commands_total{command=\"GET\"} 1\nabase_server_commands_total{command=\"SET\"} 1\nabase_server_commands_total{command=\"HGETALL\"} 1\n",
         )
         .unwrap();
         assert!(counters_agree(&t, &delta).is_ok());

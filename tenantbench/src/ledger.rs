@@ -42,7 +42,7 @@ const fn row(
 }
 
 /// Every per-layer metric, in `BENCHMARK.json` order.
-pub const LAYERS: [LayerMetric; 36] = [
+pub const LAYERS: [LayerMetric; 35] = [
     // loadgen (this benchmark)
     row(
         "loadgen.send_lag_p99_us",
@@ -65,36 +65,36 @@ pub const LAYERS: [LayerMetric; 36] = [
         "ns",
         "lower",
         "server_cpu_us_per_op, ops_per_s",
-        "read_cached",
+        "hash_scan, write_heavy",
     ),
     row(
         "proto.command_ns_per_cmd",
         "ns",
         "lower",
         "server_cpu_us_per_op, ops_per_s",
-        "read_cached",
+        "hash_scan, write_heavy",
     ),
     row(
         "proto.encode_ns_per_reply",
         "ns",
         "lower",
         "server_cpu_us_per_op, ops_per_s",
-        "read_cached, hash_scan",
+        "hash_scan",
     ),
     // core::engine
     row(
         "engine.execute_ns.get",
         "ns",
         "lower",
-        "server_cpu_us_per_op",
-        "read_cached",
+        "server_cpu_us_per_op, p50_us",
+        "write_heavy",
     ),
     row(
         "engine.execute_ns.set",
         "ns",
         "lower",
         "server_cpu_us_per_op, ops_per_s",
-        "write_heavy, noisy_neighbor",
+        "write_heavy",
     ),
     row(
         "engine.execute_ns.hgetall",
@@ -115,7 +115,7 @@ pub const LAYERS: [LayerMetric; 36] = [
         "ns",
         "lower",
         "server_cpu_us_per_op",
-        "read_cached",
+        "write_heavy",
     ),
     // lavastore
     row(
@@ -181,21 +181,21 @@ pub const LAYERS: [LayerMetric; 36] = [
         "ratio",
         "higher",
         "p50_us",
-        "read_cached, write_heavy",
+        "write_heavy",
     ),
     row(
         "cache.evictions_per_kop",
         "count",
         "lower",
         "p50_us",
-        "read_cached, write_heavy",
+        "write_heavy",
     ),
     row(
         "cache.resident_mb",
         "MB",
         "lower",
         "server_rss_mb",
-        "read_cached, write_heavy",
+        "write_heavy",
     ),
     // lavastore::bloom
     row(
@@ -211,15 +211,15 @@ pub const LAYERS: [LayerMetric; 36] = [
         "server.batch_cmds_mean",
         "count",
         "higher",
-        "ops_per_s",
-        "read_cached",
+        "ops_per_s, server_cpu_us_per_op",
+        "hash_scan, write_heavy",
     ),
     row(
         "server.ru_per_op.read",
         "RU",
         "lower",
         "ops_per_s",
-        "read_cached, hash_scan",
+        "hash_scan",
     ),
     row(
         "server.ru_per_op.write",
@@ -227,13 +227,6 @@ pub const LAYERS: [LayerMetric; 36] = [
         "lower",
         "ops_per_s",
         "write_heavy",
-    ),
-    row(
-        "server.ru_share.aggressor",
-        "ratio",
-        "lower",
-        "p50_us, tail.p99_us",
-        "noisy_neighbor",
     ),
     // obs (truthful = 1.0 sample per command)
     row(
@@ -269,15 +262,15 @@ pub const LAYERS: [LayerMetric; 36] = [
         "frontend.residual_ns_per_op",
         "ns",
         "lower",
-        "ops_per_s; p50_us and tail.p99_us on noisy_neighbor",
-        "read_cached, noisy_neighbor",
+        "ops_per_s, server_cpu_us_per_op",
+        "hash_scan, write_heavy",
     ),
     row(
         "frontend.ctxsw_per_kop",
         "count",
         "lower",
-        "ops_per_s; p50_us and tail.p99_us on noisy_neighbor",
-        "read_cached, noisy_neighbor",
+        "ops_per_s, server_cpu_us_per_op",
+        "hash_scan, write_heavy",
     ),
     // the ledger's own totals, side by side with the residual
     row(
@@ -298,7 +291,7 @@ pub const LAYERS: [LayerMetric; 36] = [
 
 /// What the untraced run measured over its closed-loop phase.
 pub struct Measured<'a> {
-    /// Every op served in the phase (the victim's too, on `noisy_neighbor`).
+    /// Every op served in the phase.
     pub closed: &'a Tally,
     /// Server counter deltas over the phase.
     pub delta: &'a Scrape,
@@ -345,12 +338,8 @@ pub fn values(m: &Measured, t: &Trace) -> Vec<f64> {
     let storage_bytes = d.get("abase_lava_wal_append_bytes_total")
         + d.get("abase_lava_flush_bytes_total")
         + d.get("abase_lava_compaction_bytes_total");
-    let ru = |family: &str, tenant: &str| d.member(family, "tenant", tenant);
     let read_ru = d.family_sum("abase_tenant_read_ru_total");
     let write_ru = d.family_sum("abase_tenant_write_ru_total");
-    let tenant = crate::spec::TENANT.to_string();
-    let aggressor_ru =
-        ru("abase_tenant_read_ru_total", &tenant) + ru("abase_tenant_write_ru_total", &tenant);
     let (sum, residual) = residual(t, m.cpu_us_per_op);
     let out = vec![
         m.send_lag_p99_us,
@@ -384,7 +373,6 @@ pub fn values(m: &Measured, t: &Trace) -> Vec<f64> {
         hist_mean("abase_pipeline_batch_commands"),
         ratio(read_ru, m.closed.reads() as f64),
         ratio(write_ru, m.closed.writes() as f64),
-        ratio(aggressor_ru, read_ru + write_ru),
         stage("parse"),
         stage("admission"),
         stage("engine"),

@@ -92,15 +92,35 @@ impl Server {
         self.child.id()
     }
 
-    /// Server CPU time (user + system, all threads) in microseconds.
+    /// Server CPU time (user + system, all threads, exited ones too) in
+    /// microseconds, read from its process CPU clock at nanosecond
+    /// resolution.
     pub fn cpu_micros(&self) -> Result<f64> {
-        let stat = std::fs::read_to_string(format!("/proc/{}/stat", self.pid()))?;
-        // Fields after the parenthesised command name start at field 3
-        // (state); utime and stime are fields 14 and 15.
-        let rest = stat.rsplit_once(')').ok_or("malformed /proc stat")?.1;
-        let fields: Vec<&str> = rest.split_whitespace().collect();
-        let ticks: u64 = fields[11].parse::<u64>()? + fields[12].parse::<u64>()?;
-        Ok(ticks as f64 * 1e6 / clock_ticks_per_sec() as f64)
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: i64,
+            tv_nsec: i64,
+        }
+        extern "C" {
+            fn clock_getcpuclockid(pid: i32, clock: *mut i32) -> i32;
+            fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+        }
+        let mut clock = 0;
+        // SAFETY: the call writes only the clock id, through a pointer to
+        // the local above.
+        let rc = unsafe { clock_getcpuclockid(self.pid() as i32, &mut clock) };
+        if rc != 0 {
+            return Err(std::io::Error::from_raw_os_error(rc).into());
+        }
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: the call writes only `ts`, which outlives it.
+        if unsafe { clock_gettime(clock, &mut ts) } != 0 {
+            return Err(std::io::Error::last_os_error().into());
+        }
+        Ok(ts.tv_sec as f64 * 1e6 + ts.tv_nsec as f64 / 1e3)
     }
 
     /// Peak resident set (`VmHWM`) in MiB.
@@ -140,20 +160,6 @@ fn status_field(status: &str, name: &str) -> Option<u64> {
         .find_map(|l| l.strip_prefix(name))
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|v| v.parse().ok())
-}
-
-fn clock_ticks_per_sec() -> i64 {
-    extern "C" {
-        fn sysconf(name: i32) -> i64;
-    }
-    const SC_CLK_TCK: i32 = 2;
-    // SAFETY: sysconf takes an integer and reads no caller memory.
-    let ticks = unsafe { sysconf(SC_CLK_TCK) };
-    if ticks > 0 {
-        ticks
-    } else {
-        100
-    }
 }
 
 /// Total bytes of the regular files under `dir`, and how many are SSTs.

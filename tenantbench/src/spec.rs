@@ -1,4 +1,4 @@
-//! The four workloads: their key spaces, their seeded op sequences, and the
+//! The two workloads: their key spaces, their seeded op sequences, and the
 //! request bytes those ops put on the wire.
 //!
 //! Every phase's ops come from the workload seed alone; the server receives
@@ -18,73 +18,33 @@ pub const FLIGHT: usize = 64;
 /// always finds a flight queued, so `ops_per_s` tracks the server's
 /// capacity rather than client wake-ups.
 pub const FLIGHTS_OUT: usize = 4;
+/// String keys in `write_heavy`: 200k x 1 KiB, about 200 MiB, over three
+/// times the 64 MiB default block cache.
+pub const KEYS: u32 = 200_000;
+/// Value size of each string key.
+pub const VALUE_BYTES: usize = 1024;
+/// Key prefix of the string keys.
+pub const KEY_PREFIX: &[u8] = b"wh:";
 /// Fields per hash in `hash_scan`.
 pub const HASH_FIELDS: usize = 10;
 /// Hashes in `hash_scan`.
 pub const HASHES: u32 = 500;
 /// Value size of each hash field.
 pub const FIELD_BYTES: usize = 100;
-/// Skew of the zipf key choice in `read_cached` and `hash_scan`.
+/// Skew of the zipf hash choice in `hash_scan`.
 pub const ZIPF_S: f64 = 0.99;
 
-/// Tenant ids the connections authenticate as.
+/// The tenant id the connection authenticates as.
 pub const TENANT: u32 = 1;
-/// The victim tenant of `noisy_neighbor`.
-pub const VICTIM_TENANT: u32 = 2;
-
-/// A string key space: its key prefix, size and value size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Space {
-    /// `read_cached`: 100k keys x 100 B, about 10 MiB, fits the 64 MiB
-    /// default block cache.
-    Cached,
-    /// `write_heavy`: 200k keys x 1 KiB, about 200 MiB, over three times
-    /// the block cache.
-    Large,
-    /// `noisy_neighbor` aggressor: write-only 1 KiB values.
-    Aggressor,
-    /// `noisy_neighbor` victim: 10k keys x 100 B, cached.
-    Victim,
-}
-
-impl Space {
-    pub const ALL: [Space; 4] = [Space::Cached, Space::Large, Space::Aggressor, Space::Victim];
-
-    pub fn prefix(self) -> &'static [u8] {
-        match self {
-            Space::Cached => b"rc:",
-            Space::Large => b"wh:",
-            Space::Aggressor => b"ag:",
-            Space::Victim => b"vk:",
-        }
-    }
-
-    pub fn keys(self) -> u32 {
-        match self {
-            Space::Cached => 100_000,
-            Space::Large | Space::Aggressor => 200_000,
-            Space::Victim => 10_000,
-        }
-    }
-
-    pub fn value_bytes(self) -> usize {
-        match self {
-            Space::Cached | Space::Victim => 100,
-            Space::Large | Space::Aggressor => 1024,
-        }
-    }
-
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
 
 /// One client operation. Writes carry the version they install, so the
 /// value bytes follow from the op and the seed alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
-    Get(Space, u32),
-    Set(Space, u32, u32),
+    /// `GET` of string key `k`.
+    Get(u32),
+    /// `SET` of string key `k` at a version.
+    Set(u32, u32),
     /// `HGETALL` of hash `h`.
     HGetAll(u32),
     /// `HSET` of one field at a version.
@@ -101,7 +61,7 @@ impl Op {
     /// Index into [`COMMANDS`].
     pub fn command(self) -> usize {
         match self {
-            Op::Get(..) => 0,
+            Op::Get(_) => 0,
             Op::Set(..) => 1,
             Op::HGetAll(_) => 2,
             Op::HSet(..) | Op::HSetAll(_) => 3,
@@ -116,26 +76,17 @@ impl Op {
 /// The workloads, named as on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
-    ReadCached,
     WriteHeavy,
     HashScan,
-    NoisyNeighbor,
 }
 
 impl Workload {
-    pub const ALL: [Workload; 4] = [
-        Workload::ReadCached,
-        Workload::WriteHeavy,
-        Workload::HashScan,
-        Workload::NoisyNeighbor,
-    ];
+    pub const ALL: [Workload; 2] = [Workload::WriteHeavy, Workload::HashScan];
 
     pub fn name(self) -> &'static str {
         match self {
-            Workload::ReadCached => "read_cached",
             Workload::WriteHeavy => "write_heavy",
             Workload::HashScan => "hash_scan",
-            Workload::NoisyNeighbor => "noisy_neighbor",
         }
     }
 
@@ -149,79 +100,42 @@ impl Workload {
     /// there.
     pub fn nominal_ops_per_s(self) -> u64 {
         match self {
-            Workload::ReadCached => 250_000,
             Workload::WriteHeavy => 40_000,
             Workload::HashScan => 80_000,
-            Workload::NoisyNeighbor => 40_000,
         }
     }
 
-    /// The fixed open-loop request rate (per second): a sixth to a quarter
-    /// of the closed-loop `ops_per_s` measured when the benchmark was
-    /// written, so no backlog grows. On
-    /// `noisy_neighbor` it is the victim's light GET stream. The same rates
-    /// appear in each workload's `why` in `BENCHMARK.json`.
+    /// The fixed open-loop request rate (per second): a sixth to a fifth of
+    /// the closed-loop `ops_per_s` measured when the benchmark was written,
+    /// so no backlog grows. The same rates appear in each workload's `why`
+    /// in `BENCHMARK.json`.
     pub fn open_rate(self) -> u64 {
         match self {
-            Workload::ReadCached => 40_000,
             Workload::WriteHeavy => 8_000,
             Workload::HashScan => 15_000,
-            Workload::NoisyNeighbor => 2_000,
         }
     }
 
-    /// The string key spaces the workload loads, with the tenant each
-    /// belongs to.
-    pub fn loaded_spaces(self) -> &'static [(Space, u32)] {
+    /// Set-up ops: `write_heavy` loads every key once (its data is three
+    /// times the cache, so a warm pass would only cost set-up time);
+    /// `hash_scan` loads every hash, then reads each once.
+    pub fn setup_ops(self) -> Vec<Op> {
         match self {
-            Workload::ReadCached => &[(Space::Cached, TENANT)],
-            Workload::WriteHeavy => &[(Space::Large, TENANT)],
-            Workload::HashScan => &[],
-            Workload::NoisyNeighbor => &[(Space::Victim, VICTIM_TENANT)],
+            Workload::WriteHeavy => (0..KEYS).map(|k| Op::Set(k, 1)).collect(),
+            Workload::HashScan => (0..HASHES)
+                .map(Op::HSetAll)
+                .chain((0..HASHES).map(Op::HGetAll))
+                .collect(),
         }
     }
-
-    pub fn has_hashes(self) -> bool {
-        self == Workload::HashScan
-    }
-
-    /// Whether setup reads every loaded key once so the block cache is warm.
-    /// `write_heavy`'s data is three times the cache, so a warm pass would
-    /// only cost set-up time.
-    pub fn warms(self) -> bool {
-        self != Workload::WriteHeavy
-    }
-}
-
-/// Load ops for one string space: every key once, at version 1.
-pub fn load_strings(space: Space) -> Vec<Op> {
-    (0..space.keys()).map(|k| Op::Set(space, k, 1)).collect()
-}
-
-/// Load ops for `hash_scan`: every hash with all its fields.
-pub fn load_hashes() -> Vec<Op> {
-    (0..HASHES).map(Op::HSetAll).collect()
-}
-
-/// Warm ops for one string space: one read of every key.
-pub fn warm_strings(space: Space) -> Vec<Op> {
-    (0..space.keys()).map(|k| Op::Get(space, k)).collect()
-}
-
-/// Warm ops for `hash_scan`: one read of every hash.
-pub fn warm_hashes() -> Vec<Op> {
-    (0..HASHES).map(Op::HGetAll).collect()
 }
 
 /// Seeded op choice for a workload's measured phases. Writes are emitted
 /// with version 0; [`crate::model::Model::plan`] assigns real versions.
-/// On `noisy_neighbor` the closed phase is the aggressor's SETs and the
-/// open phase the victim's GETs.
 pub struct Mix {
     workload: Workload,
-    phase: u64,
     rng: StdRng,
-    zipf: Option<Zipf>,
+    zipf: Zipf,
 }
 
 /// A distinct RNG stream per phase, so adding a phase never shifts another.
@@ -234,42 +148,34 @@ pub const PHASE_OPEN: u64 = 2;
 
 impl Mix {
     pub fn new(workload: Workload, seed: u64, phase: u64) -> Mix {
-        let zipf = match workload {
-            Workload::ReadCached => Some(Zipf::new(Space::Cached.keys() as usize, ZIPF_S)),
-            Workload::HashScan => Some(Zipf::new(HASHES as usize, ZIPF_S)),
-            _ => None,
-        };
         Mix {
             workload,
-            phase,
             rng: phase_rng(seed, phase),
-            zipf,
+            zipf: Zipf::new(HASHES as usize, ZIPF_S),
         }
     }
 
-    /// Zipf rank scattered over the key space (popular keys are not all
-    /// neighbours in one SST): `rank * P mod n` with `P` prime and coprime
-    /// to `n`, a permutation.
-    fn scattered(&mut self, n: u32) -> u32 {
+    /// Zipf rank scattered over the hashes (popular hashes are not all
+    /// neighbours in one stripe): `rank * P mod n` with `P` prime and
+    /// coprime to `n`, a permutation.
+    fn scattered_hash(&mut self) -> u32 {
         const P: u64 = 7_919;
-        let zipf = self.zipf.as_ref().expect("zipf workloads only");
-        let rank = zipf.sample(&mut self.rng) as u64;
-        (rank * P % u64::from(n)) as u32
+        let rank = self.zipf.sample(&mut self.rng) as u64;
+        (rank * P % u64::from(HASHES)) as u32
     }
 
     pub fn next_op(&mut self) -> Op {
         match self.workload {
-            Workload::ReadCached => Op::Get(Space::Cached, self.scattered(Space::Cached.keys())),
             Workload::WriteHeavy => {
-                let key = self.rng.gen_range(0..Space::Large.keys());
+                let key = self.rng.gen_range(0..KEYS);
                 if self.rng.gen_range(0..4u32) < 3 {
-                    Op::Set(Space::Large, key, 0)
+                    Op::Set(key, 0)
                 } else {
-                    Op::Get(Space::Large, key)
+                    Op::Get(key)
                 }
             }
             Workload::HashScan => {
-                let hash = self.scattered(HASHES);
+                let hash = self.scattered_hash();
                 if self.rng.gen_range(0..20u32) == 0 {
                     let field = self.rng.gen_range(0..HASH_FIELDS as u32) as u8;
                     Op::HSet(hash, field, 0)
@@ -277,21 +183,13 @@ impl Mix {
                     Op::HGetAll(hash)
                 }
             }
-            Workload::NoisyNeighbor if self.phase == PHASE_OPEN => {
-                Op::Get(Space::Victim, self.rng.gen_range(0..Space::Victim.keys()))
-            }
-            Workload::NoisyNeighbor => Op::Set(
-                Space::Aggressor,
-                self.rng.gen_range(0..Space::Aggressor.keys()),
-                0,
-            ),
         }
     }
 }
 
-/// Append the key of string `key` in `space`: prefix plus six digits.
-pub fn push_key(out: &mut Vec<u8>, space: Space, key: u32) {
-    out.extend_from_slice(space.prefix());
+/// Append the name of string key `key`: prefix plus six digits.
+pub fn push_key(out: &mut Vec<u8>, key: u32) {
+    out.extend_from_slice(KEY_PREFIX);
     let mut digits = [b'0'; 6];
     let mut n = key;
     for d in digits.iter_mut().rev() {
@@ -325,14 +223,20 @@ pub fn push_hash_name(out: &mut Vec<u8>, hash: u32) {
     }
 }
 
+/// The hash whose name nests under `hash`'s: `cart:<id>:items` under
+/// `cart:<id>`.
+pub fn nested_sibling(hash: u32) -> Option<u32> {
+    (hash.is_multiple_of(10) && hash + 1 < HASHES).then_some(hash + 1)
+}
+
 pub fn field_name(field: u8) -> [u8; 2] {
     [b'f', b'0' + field]
 }
 
 /// Value identity: which key or field a value belongs to, independent of
 /// its version.
-pub fn string_tag(space: Space, key: u32) -> u64 {
-    ((space.index() as u64 + 1) << 40) | u64::from(key)
+pub fn string_tag(key: u32) -> u64 {
+    (1 << 40) | u64::from(key)
 }
 
 pub fn field_tag(hash: u32, field: u8) -> u64 {
@@ -363,20 +267,14 @@ pub fn push_value(out: &mut Vec<u8>, seed: u64, tag: u64, version: u32, len: usi
 pub fn encode(out: &mut Vec<u8>, scratch: &mut Vec<u8>, op: Op, seed: u64) {
     scratch.clear();
     match op {
-        Op::Get(space, key) => {
-            push_key(scratch, space, key);
+        Op::Get(key) => {
+            push_key(scratch, key);
             push_command(out, &[b"GET", scratch]);
         }
-        Op::Set(space, key, version) => {
-            push_key(scratch, space, key);
+        Op::Set(key, version) => {
+            push_key(scratch, key);
             let k = scratch.len();
-            push_value(
-                scratch,
-                seed,
-                string_tag(space, key),
-                version,
-                space.value_bytes(),
-            );
+            push_value(scratch, seed, string_tag(key), version, VALUE_BYTES);
             let (key_bytes, value) = scratch.split_at(k);
             push_command(out, &[b"SET", key_bytes, value]);
         }
@@ -445,6 +343,9 @@ mod tests {
         assert_eq!(name(20), "cart:20");
         assert_eq!(name(21), "cart:20:items");
         assert_eq!(name(22), "user:22:profile");
+        assert_eq!(nested_sibling(20), Some(21));
+        assert_eq!(nested_sibling(21), None);
+        assert_eq!(nested_sibling(22), None);
     }
 
     #[test]
@@ -454,10 +355,11 @@ mod tests {
             push_value(&mut out, 3, tag, version, 100);
             out
         };
-        let a = value(string_tag(Space::Cached, 1), 1);
+        let a = value(string_tag(1), 1);
         assert_eq!(a.len(), 100);
         assert!(a.iter().all(u8::is_ascii_lowercase));
-        assert_ne!(a, value(string_tag(Space::Cached, 1), 2));
-        assert_ne!(a, value(string_tag(Space::Cached, 2), 1));
+        assert_ne!(a, value(string_tag(1), 2));
+        assert_ne!(a, value(string_tag(2), 1));
+        assert_ne!(a, value(field_tag(1, 0), 1));
     }
 }

@@ -19,7 +19,7 @@
 //! Setup phases replay untimed, so the engine holds the same data as the
 //! server when the timed phase starts.
 
-use crate::spec::{encode, Op, COMMANDS};
+use crate::spec::{encode, Op, COMMANDS, TENANT};
 use crate::Result;
 use abase_core::TableEngine;
 use abase_lavastore::{Db, DbConfig};
@@ -85,15 +85,9 @@ impl Replayer {
         })
     }
 
-    /// Replay `ops` for `tenant` in flights of `flight` commands, timing
-    /// them into `trace` when one is given.
-    pub fn run(
-        &mut self,
-        tenant: u32,
-        ops: &[Op],
-        flight: usize,
-        mut trace: Option<&mut Trace>,
-    ) -> Result<()> {
+    /// Replay `ops` in flights of `flight` commands, timing them into
+    /// `trace` when one is given.
+    pub fn run(&mut self, ops: &[Op], flight: usize, mut trace: Option<&mut Trace>) -> Result<()> {
         for ops in ops.chunks(flight) {
             self.wire.clear();
             for &op in ops {
@@ -117,7 +111,7 @@ impl Replayer {
                 self.gets += u64::from(COMMANDS[kind] == "GET");
                 let (reply, io_ops, from_memtable, stage) = match &cmd {
                     Command::Get { key } if self.gets.is_multiple_of(2) => {
-                        let storage_key = TableEngine::storage_string_key(tenant, key);
+                        let storage_key = TableEngine::storage_string_key(TENANT, key);
                         let t = Instant::now();
                         let read = self.db.get(&storage_key, 0)?;
                         let took = self.since(t);
@@ -126,7 +120,7 @@ impl Replayer {
                     }
                     _ => {
                         let t = Instant::now();
-                        let outcome = self.engine.execute(tenant, &cmd, 0)?;
+                        let outcome = self.engine.execute(TENANT, &cmd, 0)?;
                         let took = self.since(t);
                         let io = outcome.io_ops;
                         (
