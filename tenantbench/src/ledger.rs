@@ -42,13 +42,13 @@ const fn row(
 }
 
 /// Every per-layer metric, in `BENCHMARK.json` order.
-pub const LAYERS: [LayerMetric; 35] = [
+pub const LAYERS: [LayerMetric; 39] = [
     // loadgen (this benchmark)
     row(
         "loadgen.send_lag_p99_us",
         "us",
         "lower",
-        "nothing: validity check, must stay far below p50_us",
+        "nothing: validity check, must stay far below wall.p50_us",
         "all",
     ),
     // the open loop's tail, reported here because it carries no bound
@@ -59,26 +59,56 @@ pub const LAYERS: [LayerMetric; 35] = [
         "nothing bounded: the end-to-end tail, too host-dependent to gate on",
         "all",
     ),
+    // the host: the end-to-end figures as measured, before they are
+    // restated at the reference speed, and the speed itself
+    row(
+        "wall.ops_per_s",
+        "1/s",
+        "higher",
+        "ref_ops_per_s (as measured, at the host's speed)",
+        "all",
+    ),
+    row(
+        "wall.p50_us",
+        "us",
+        "lower",
+        "ref_p50_us (as measured, at the host's speed)",
+        "all",
+    ),
+    row(
+        "host.kernel_us.closed",
+        "us",
+        "lower",
+        "nothing: the server vCPU's speed in the closed loop, which ref_ops_per_s and ref_server_cpu_us_per_op are restated from",
+        "all",
+    ),
+    row(
+        "host.kernel_us.open",
+        "us",
+        "lower",
+        "nothing: the server vCPU's speed in the open loop, which ref_p50_us is restated from",
+        "all",
+    ),
     // proto
     row(
         "proto.parse_ns_per_cmd",
         "ns",
         "lower",
-        "server_cpu_us_per_op, ops_per_s",
+        "ref_server_cpu_us_per_op, ref_ops_per_s",
         "hash_scan, write_heavy",
     ),
     row(
         "proto.command_ns_per_cmd",
         "ns",
         "lower",
-        "server_cpu_us_per_op, ops_per_s",
+        "ref_server_cpu_us_per_op, ref_ops_per_s",
         "hash_scan, write_heavy",
     ),
     row(
         "proto.encode_ns_per_reply",
         "ns",
         "lower",
-        "server_cpu_us_per_op, ops_per_s",
+        "ref_server_cpu_us_per_op, ref_ops_per_s",
         "hash_scan",
     ),
     // core::engine
@@ -86,35 +116,35 @@ pub const LAYERS: [LayerMetric; 35] = [
         "engine.execute_ns.get",
         "ns",
         "lower",
-        "server_cpu_us_per_op, p50_us",
+        "ref_server_cpu_us_per_op, ref_p50_us",
         "write_heavy",
     ),
     row(
         "engine.execute_ns.set",
         "ns",
         "lower",
-        "server_cpu_us_per_op, ops_per_s",
+        "ref_server_cpu_us_per_op, ref_ops_per_s",
         "write_heavy",
     ),
     row(
         "engine.execute_ns.hgetall",
         "ns",
         "lower",
-        "server_cpu_us_per_op",
+        "ref_server_cpu_us_per_op",
         "hash_scan",
     ),
     row(
         "engine.execute_ns.hset",
         "ns",
         "lower",
-        "server_cpu_us_per_op",
+        "ref_server_cpu_us_per_op",
         "hash_scan",
     ),
     row(
         "engine.self_ns.get",
         "ns",
         "lower",
-        "server_cpu_us_per_op",
+        "ref_server_cpu_us_per_op",
         "write_heavy",
     ),
     // lavastore
@@ -122,38 +152,38 @@ pub const LAYERS: [LayerMetric; 35] = [
         "lava.get_ns",
         "ns",
         "lower",
-        "p50_us, ops_per_s",
+        "ref_p50_us, ref_ops_per_s",
         "write_heavy",
     ),
     row(
         "lava.block_reads_per_get",
         "count",
         "lower",
-        "p50_us, ops_per_s",
+        "ref_p50_us, ref_ops_per_s",
         "write_heavy",
     ),
     row(
         "lava.blocks_per_hgetall",
         "count",
         "lower",
-        "ops_per_s",
+        "ref_ops_per_s",
         "hash_scan",
     ),
     row(
         "lava.memtable_hit_ratio",
         "ratio",
         "higher",
-        "p50_us",
+        "ref_p50_us",
         "write_heavy",
     ),
     row(
         "lava.sst_files_end",
         "count",
         "lower",
-        "space_amp, p50_us",
+        "space_amp, ref_p50_us",
         "write_heavy",
     ),
-    row("lava.flushes", "count", "lower", "ops_per_s", "write_heavy"),
+    row("lava.flushes", "count", "lower", "ref_ops_per_s", "write_heavy"),
     row(
         "lava.compactions",
         "count",
@@ -165,14 +195,14 @@ pub const LAYERS: [LayerMetric; 35] = [
         "lava.write_amp",
         "ratio",
         "lower",
-        "ops_per_s, space_amp",
+        "ref_ops_per_s, space_amp",
         "write_heavy",
     ),
     row(
         "lava.wal_frames_per_commit",
         "count",
         "higher",
-        "ops_per_s",
+        "ref_ops_per_s",
         "write_heavy",
     ),
     // lavastore::block_cache / abase-cache
@@ -180,14 +210,14 @@ pub const LAYERS: [LayerMetric; 35] = [
         "cache.hit_ratio",
         "ratio",
         "higher",
-        "p50_us",
+        "ref_p50_us",
         "write_heavy",
     ),
     row(
         "cache.evictions_per_kop",
         "count",
         "lower",
-        "p50_us",
+        "ref_p50_us",
         "write_heavy",
     ),
     row(
@@ -202,30 +232,30 @@ pub const LAYERS: [LayerMetric; 35] = [
         "bloom.checks_per_get",
         "count",
         "lower",
-        "p50_us",
+        "ref_p50_us",
         "write_heavy",
     ),
-    row("bloom.fp_ratio", "ratio", "lower", "p50_us", "write_heavy"),
+    row("bloom.fp_ratio", "ratio", "lower", "ref_p50_us", "write_heavy"),
     // core::server (dispatch, admission)
     row(
         "server.batch_cmds_mean",
         "count",
         "higher",
-        "ops_per_s, server_cpu_us_per_op",
+        "ref_ops_per_s, ref_server_cpu_us_per_op",
         "hash_scan, write_heavy",
     ),
     row(
         "server.ru_per_op.read",
         "RU",
         "lower",
-        "ops_per_s",
+        "ref_ops_per_s",
         "hash_scan",
     ),
     row(
         "server.ru_per_op.write",
         "RU",
         "lower",
-        "ops_per_s",
+        "ref_ops_per_s",
         "write_heavy",
     ),
     // obs (truthful = 1.0 sample per command)
@@ -262,14 +292,14 @@ pub const LAYERS: [LayerMetric; 35] = [
         "frontend.residual_ns_per_op",
         "ns",
         "lower",
-        "ops_per_s, server_cpu_us_per_op",
+        "ref_ops_per_s, ref_server_cpu_us_per_op",
         "hash_scan, write_heavy",
     ),
     row(
         "frontend.ctxsw_per_kop",
         "count",
         "lower",
-        "ops_per_s, server_cpu_us_per_op",
+        "ref_ops_per_s, ref_server_cpu_us_per_op",
         "hash_scan, write_heavy",
     ),
     // the ledger's own totals, side by side with the residual
@@ -277,14 +307,14 @@ pub const LAYERS: [LayerMetric; 35] = [
         "ledger.sum_layers_ns_per_op",
         "ns",
         "lower",
-        "server_cpu_us_per_op",
+        "ref_server_cpu_us_per_op",
         "all",
     ),
     row(
         "ledger.server_cpu_ns_per_op",
         "ns",
         "lower",
-        "server_cpu_us_per_op (the same figure in ns)",
+        "ref_server_cpu_us_per_op (as measured, in ns)",
         "all",
     ),
 ];
@@ -301,8 +331,13 @@ pub struct Measured<'a> {
     pub context_switches: f64,
     pub ssts_end: u64,
     pub send_lag_p99_us: f64,
-    /// p99 of the open loop's latency from due time.
+    /// p50 and p99 of the open loop's latency from due time.
+    pub p50_us: f64,
     pub p99_us: f64,
+    pub ops_per_s: f64,
+    /// Median reference-kernel times on the server's vCPU, in µs.
+    pub closed_kernel_us: f64,
+    pub open_kernel_us: f64,
 }
 
 /// The layer sum and the residual: traced ns per op of parse, command
@@ -344,6 +379,10 @@ pub fn values(m: &Measured, t: &Trace) -> Vec<f64> {
     let out = vec![
         m.send_lag_p99_us,
         m.p99_us,
+        m.ops_per_s,
+        m.p50_us,
+        m.closed_kernel_us,
+        m.open_kernel_us,
         ratio(t.parse_ns, t.ops as f64),
         ratio(t.command_ns, t.ops as f64),
         ratio(t.encode_ns, t.ops as f64),
@@ -431,7 +470,11 @@ mod tests {
             context_switches: 5.0,
             ssts_end: 2,
             send_lag_p99_us: 4.0,
+            p50_us: 6.0,
             p99_us: 9.0,
+            ops_per_s: 1000.0,
+            closed_kernel_us: 250.0,
+            open_kernel_us: 260.0,
         };
         let trace = Trace {
             ops: 10,

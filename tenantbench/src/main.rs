@@ -2,9 +2,12 @@
 //!
 //! Launches the unmodified release `abase-server` as a child process with a
 //! fresh data directory for every run, and drives it over loopback RESP from
-//! this one process, with one thread and one connection. The server is
-//! observed only from outside: its replies, its own `METRICS` exposition,
-//! and `/proc/<pid>`.
+//! this one process, with one generator thread and one connection. The
+//! server is observed only from outside: its replies, its own `METRICS`
+//! exposition, and `/proc/<pid>`. The server runs pinned to one vCPU and
+//! the generator to another; a second thread of this process, the probe,
+//! times a fixed reference kernel on the server's vCPU while a phase is
+//! timed ([`host`]).
 //!
 //! Run one workload (from the repository root; `run.sh` builds the server
 //! and the benchmark first):
@@ -32,11 +35,13 @@
 //! | `write_heavy` | 75% SET / 25% GET, uniform over 200k keys x 1 KiB (about 200 MiB, over 3x the 64 MiB default block cache); open loop 8000/s | WAL, memtable, flush, L0 growth, bloom and SST block reads do the work and the cache misses: a read-path win that costs writes, or a write-path win that grows read amplification, shows. |
 //! | `hash_scan` | 95% HGETALL / 5% HSET, zipf 0.99 over 500 hashes x 10 fields x 100 B; every tenth hash `cart:<id>` has a sibling `cart:<id>:items` (all of it stays in the memtable); open loop 15000/s | Whole-hash scans across stripes with large replies: per-command costs, the hash key codec and reply encoding dominate. The nested names expose prefix aliasing as failed replies. |
 //!
-//! Each run: set-up (spawn, load, warm), then a closed-loop phase of a
-//! fixed, seeded op sequence (flights of 64 pipelined commands, four flights
-//! outstanding; its length is a nominal rate times two thirds of
-//! `--seconds`, so bytes written never depend on speed), then an open-loop
-//! phase of the last third of `--seconds` at the workload's fixed rate.
+//! Each run: set-up (spawn, load, warm), the set-up data written through
+//! to the disk (so no writeback of it lands in a timed phase), then a
+//! closed-loop phase of a fixed, seeded op sequence (flights of 64
+//! pipelined commands, eight flights outstanding; its length is a nominal
+//! rate times two thirds of `--seconds`, so bytes written never depend on
+//! speed), then an open-loop phase of the last third of `--seconds` at the
+//! workload's fixed rate.
 //!
 //! Two workloads of the four first planned are left out, because on the
 //! 2-vCPU shared virtual machine the benchmark was tuned on their figures
@@ -54,29 +59,41 @@
 //!   `ops_per_s` and `server_cpu_us_per_op` spread 20-33% in three of four
 //!   sets of ten seeds.
 //!
-//! The same drift is why the runs are long: `hash_scan` is also bound by
-//! one server core, and its throughput and CPU per op spread 14-28% over
-//! ten seeds with a 15 s closed loop, 11-12% with the 26 s one of a 40 s
-//! run (`write_heavy`: 9-15%).
+//! The same drift moves the listed workloads, which are bound by the one
+//! server vCPU too: as measured, `hash_scan`'s throughput and CPU per op
+//! spread 11-28% over ten seeds of a 40 s run on the tuning machine, and
+//! 21-35% on another host. Longer runs do not average it away (the drift
+//! is as large over 17 s windows as over 2 s ones), so those figures are
+//! restated at a reference vCPU speed measured beside the server
+//! ([`host`]); the figures as measured stay in the per-layer rows.
 //!
 //! ## End-to-end metrics (`--trace 0`)
 //!
-//! * `ops_per_s` — ops of the closed-loop phase ÷ its wall time.
-//! * `p50_us` — open-loop latency timed from each request's due time. Its
-//!   p99 is printed too, as the per-layer row `tail.p99_us`, but carries no
-//!   bound: on the shared 2-vCPU virtual machine the benchmark was tuned
-//!   on, the hypervisor stops vCPUs for up to milliseconds, and across ten
-//!   seeds the p99 spread by 24-91% of its median (interquartile range;
-//!   whole-run and windowed estimates alike), where a bounded metric may
-//!   spread 25%.
+//! The `ref_` metrics are stated at the reference vCPU speed: with `k` the
+//! median time of the probe's reference kernel on the server's vCPU over
+//! the phase and `K` = [`host::REF_KERNEL_US`], a rate is multiplied by
+//! `k / K` and a time by `K / k`. A change to the server moves them as it
+//! moves the figures as measured; a slower host does not.
+//!
+//! * `ref_ops_per_s` — ops of the closed-loop phase ÷ its wall time, at the
+//!   reference speed (as measured: `wall.ops_per_s`).
+//! * `ref_p50_us` — open-loop latency timed from each request's due time,
+//!   at the reference speed (as measured: `wall.p50_us`). Its p99 is
+//!   printed too, as the per-layer row `tail.p99_us`, but carries no bound:
+//!   on the shared 2-vCPU virtual machine the benchmark was tuned on, the
+//!   hypervisor stops vCPUs for up to milliseconds, and across ten seeds
+//!   the p99 spread by 24-91% of its median (interquartile range; whole-run
+//!   and windowed estimates alike), where a bounded metric may spread 25%.
 //! * `ok_ratio` — replies that matched the model ÷ ops attempted. The
 //!   complement of an error ratio, so it is never 0: error replies, wrong or
 //!   stale values, and extra or missing hash fields all lower it.
-//! * `server_cpu_us_per_op` — server user+system time ÷ ops of the
-//!   closed-loop phase.
+//! * `ref_server_cpu_us_per_op` — server user+system time ÷ ops of the
+//!   closed-loop phase, at the reference speed (as measured:
+//!   `ledger.server_cpu_ns_per_op`).
 //! * `server_rss_mb` — the server's `VmHWM`.
 //! * `space_amp` — data-directory bytes at the end ÷ live logical bytes.
-//! * `setup_s` — spawn, load and warm, the median of three set-ups.
+//! * `setup_s` — spawn, load and warm, the median of several set-ups
+//!   (`Workload::setups`).
 //!
 //! ## Per-layer metrics (`--trace 1`)
 //!
@@ -87,16 +104,17 @@
 //!
 //! | layer (module) | metrics | source | should move |
 //! |---|---|---|---|
-//! | loadgen (this benchmark) | `loadgen.send_lag_p99_us` | own clock | nothing: validity check, must stay far below `p50_us` |
+//! | loadgen (this benchmark) | `loadgen.send_lag_p99_us` | own clock | nothing: validity check, must stay far below `wall.p50_us` |
 //! | open loop (end to end) | `tail.p99_us` | own clock | unbounded: the tail, too host-dependent to gate on |
-//! | `proto` | `proto.parse_ns_per_cmd`, `proto.command_ns_per_cmd`, `proto.encode_ns_per_reply` | `RespValue::parse_batch`, `Command::from_resp`, `RespValue::encode` | `server_cpu_us_per_op`, `ops_per_s` @ `hash_scan` (parse and command also @ `write_heavy`) |
-//! | `core::engine` | `engine.execute_ns.{get,set,hgetall,hset}`, `engine.self_ns.get` | `TableEngine::execute`, `Db::get` | `server_cpu_us_per_op` @ `write_heavy` (GET, SET), `hash_scan` (HGETALL, HSET) |
-//! | `lavastore` | `lava.get_ns`, `lava.block_reads_per_get`, `lava.blocks_per_hgetall`, `lava.memtable_hit_ratio`, `lava.sst_files_end`, `lava.flushes`, `lava.compactions`, `lava.write_amp`, `lava.wal_frames_per_commit` | `Db::get`, `ExecOutcome`, `abase_lava_*`, the data directory | `p50_us`, `ops_per_s`, `space_amp` @ `write_heavy`; `ops_per_s` @ `hash_scan` |
-//! | `lavastore::block_cache` / `abase-cache` | `cache.hit_ratio`, `cache.evictions_per_kop`, `cache.resident_mb` | `abase_block_cache_*` | `p50_us`, `server_rss_mb` @ `write_heavy` |
-//! | `lavastore::bloom` | `bloom.checks_per_get`, `bloom.fp_ratio` | `abase_bloom_*` | `p50_us` @ `write_heavy` |
-//! | `core::server` | `server.batch_cmds_mean`, `server.ru_per_op.{read,write}` | `abase_pipeline_batch_commands`, `abase_tenant_*_ru_total` | `ops_per_s` @ `hash_scan` (read RU), `write_heavy` (write RU) |
+//! | host | `wall.ops_per_s`, `wall.p50_us`, `host.kernel_us.{closed,open}` | own clock; the probe ([`host`]) | the `ref_` figures as measured, and the server vCPU's speed they were restated from |
+//! | `proto` | `proto.parse_ns_per_cmd`, `proto.command_ns_per_cmd`, `proto.encode_ns_per_reply` | `RespValue::parse_batch`, `Command::from_resp`, `RespValue::encode` | `ref_server_cpu_us_per_op`, `ref_ops_per_s` @ `hash_scan` (parse and command also @ `write_heavy`) |
+//! | `core::engine` | `engine.execute_ns.{get,set,hgetall,hset}`, `engine.self_ns.get` | `TableEngine::execute`, `Db::get` | `ref_server_cpu_us_per_op` @ `write_heavy` (GET, SET), `hash_scan` (HGETALL, HSET) |
+//! | `lavastore` | `lava.get_ns`, `lava.block_reads_per_get`, `lava.blocks_per_hgetall`, `lava.memtable_hit_ratio`, `lava.sst_files_end`, `lava.flushes`, `lava.compactions`, `lava.write_amp`, `lava.wal_frames_per_commit` | `Db::get`, `ExecOutcome`, `abase_lava_*`, the data directory | `ref_p50_us`, `ref_ops_per_s`, `space_amp` @ `write_heavy`; `ref_ops_per_s` @ `hash_scan` |
+//! | `lavastore::block_cache` / `abase-cache` | `cache.hit_ratio`, `cache.evictions_per_kop`, `cache.resident_mb` | `abase_block_cache_*` | `ref_p50_us`, `server_rss_mb` @ `write_heavy` |
+//! | `lavastore::bloom` | `bloom.checks_per_get`, `bloom.fp_ratio` | `abase_bloom_*` | `ref_p50_us` @ `write_heavy` |
+//! | `core::server` | `server.batch_cmds_mean`, `server.ru_per_op.{read,write}` | `abase_pipeline_batch_commands`, `abase_tenant_*_ru_total` | `ref_ops_per_s` @ `hash_scan` (read RU), `write_heavy` (write RU) |
 //! | `obs` | `obs.stage_samples_per_cmd.{parse,admission,engine,respond}` (truthful = 1.0) | `abase_server_stage_micros_count` ÷ commands | nothing directly |
-//! | `core::event_loop` + `conn` | `frontend.residual_ns_per_op`, `frontend.ctxsw_per_kop` | `server_cpu_us_per_op` − Σ traced layers; `/proc/<pid>/task/*/status` | `ops_per_s`, `server_cpu_us_per_op` @ `hash_scan`, `write_heavy` |
+//! | `core::event_loop` + `conn` | `frontend.residual_ns_per_op`, `frontend.ctxsw_per_kop` | server CPU per op − Σ traced layers; `/proc/<pid>/task/*/status` | `ref_ops_per_s`, `ref_server_cpu_us_per_op` @ `hash_scan`, `write_heavy` |
 //! | ledger | `ledger.sum_layers_ns_per_op`, `ledger.server_cpu_ns_per_op` | traced replay; `/proc/<pid>/stat` | printed beside `frontend.residual_ns_per_op` |
 //!
 //! A row that a workload does not exercise (say `engine.execute_ns.hset` on
@@ -114,6 +132,7 @@
 //! stale, lost or otherwise wrong reply makes it false.
 
 mod drive;
+mod host;
 mod ledger;
 mod model;
 mod server;
@@ -123,25 +142,23 @@ mod trace;
 mod wire;
 
 use drive::{counters_agree, set_fine_timer_slack, Conn, Tally};
+use host::{rate_at_ref, time_at_ref, CpuSet, Placement, Probe, REF_KERNEL_US};
 use model::{Model, Plan};
-use server::{dir_usage, Scrape, Server};
+use server::{dir_usage, sync_dir, Scrape, Server};
 use spec::{Mix, Workload, FLIGHT, FLIGHTS_OUT, PHASE_CLOSED, PHASE_OPEN, TENANT};
-use stats::{median, quantile, ratio};
+use stats::{mean, median, quantile, ratio};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + Sync>>;
 
-/// Set-ups per untraced run; `setup_s` is their median.
-const SETUPS: usize = 3;
-
 /// `(name, unit)` of every end-to-end metric, in `BENCHMARK.json` order.
 const END_TO_END: [(&str, &str); 7] = [
-    ("ops_per_s", "1/s"),
-    ("p50_us", "us"),
+    ("ref_ops_per_s", "1/s"),
+    ("ref_p50_us", "us"),
     ("ok_ratio", "ratio"),
-    ("server_cpu_us_per_op", "us"),
+    ("ref_server_cpu_us_per_op", "us"),
     ("server_rss_mb", "MB"),
     ("space_amp", "ratio"),
     ("setup_s", "s"),
@@ -154,6 +171,7 @@ struct Args {
     trace: bool,
     server: PathBuf,
     out: PathBuf,
+    placement: Placement,
 }
 
 impl Args {
@@ -187,6 +205,7 @@ impl Args {
             trace: trace.ok_or("--trace is required")?,
             server: server.ok_or("--server is required")?,
             out: PathBuf::from("tenantbench/out"),
+            placement: Placement::choose()?,
         })
     }
 }
@@ -204,6 +223,7 @@ fn main() -> ExitCode {
 fn run() -> Result<()> {
     let args = Args::parse()?;
     set_fine_timer_slack();
+    CpuSet::one(args.placement.generator).pin_current()?;
     std::fs::create_dir_all(&args.out)?;
     let plans = Plans::build(args.workload, args.seed, args.seconds);
     println!("{}", stamp(&args, &plans)?);
@@ -279,7 +299,7 @@ fn set_up(args: &Args, plans: &Plans, n: usize) -> Result<Ready> {
         std::process::id()
     ));
     let t = Instant::now();
-    let server = Server::spawn(&args.server, dir)?;
+    let server = Server::spawn(&args.server, dir, args.placement.server)?;
     let mut conn = Conn::open(server.addr, TENANT, args.seed)?;
     let tally = conn.closed_loop(&plans.setup)?;
     let secs = t.elapsed().as_secs_f64();
@@ -297,6 +317,10 @@ struct Run {
     total: Tally,
     closed: Tally,
     ops_per_s: f64,
+    /// Mean reference-kernel time on the server's vCPU (µs) over the
+    /// closed and the open phase.
+    closed_kernel_us: f64,
+    open_kernel_us: f64,
     latencies: Vec<f64>,
     lags: Vec<f64>,
     cpu_us_per_op: f64,
@@ -315,17 +339,22 @@ fn measure(args: &Args, plans: &Plans, ready: Ready) -> Result<Run> {
         tally: setup,
         ..
     } = ready;
+    sync_dir(&server.dir)?;
     let before = conn.metrics()?;
     counters_agree(&setup, &before)?;
     let cs0 = server.context_switches()?;
     let cpu0 = server.cpu_micros()?;
+    let probe = Probe::start(args.placement.server);
     let t = Instant::now();
     let closed = conn.closed_loop(&plans.closed)?;
     let secs = t.elapsed().as_secs_f64();
+    let closed_kernel_us = mean(&probe.finish()?);
     let cpu1 = server.cpu_micros()?;
     let cs1 = server.context_switches()?;
     let mid = conn.metrics()?;
+    let probe = Probe::start(args.placement.server);
     let (open, latencies, lags) = conn.open_loop(&plans.open, args.workload.open_rate())?;
+    let open_kernel_us = mean(&probe.finish()?);
     let delta = mid.delta(&before);
     counters_agree(&closed, &delta)?;
     let end = conn.metrics()?;
@@ -340,6 +369,8 @@ fn measure(args: &Args, plans: &Plans, ready: Ready) -> Result<Run> {
     Ok(Run {
         total,
         ops_per_s: ops / secs,
+        closed_kernel_us,
+        open_kernel_us,
         latencies,
         lags,
         cpu_us_per_op: ratio(cpu1 - cpu0, ops),
@@ -358,7 +389,7 @@ type Metrics = Vec<(&'static str, f64, &'static str)>;
 fn untraced(args: &Args, plans: &Plans) -> Result<(Run, Metrics)> {
     let mut setup_secs = Vec::new();
     let mut ready = None;
-    for n in 0..SETUPS {
+    for n in 0..args.workload.setups() {
         // The previous server is stopped before the next one starts.
         drop(ready.take());
         let r = set_up(args, plans, n)?;
@@ -367,11 +398,20 @@ fn untraced(args: &Args, plans: &Plans) -> Result<(Run, Metrics)> {
     }
     let mut run = measure(args, plans, ready.expect("at least one set-up"))?;
     let live = plans.model.live_bytes() as f64;
-    let values = [
+    let p50_us = quantile(&mut run.latencies, 0.50);
+    eprintln!(
+        "as measured: ops_per_s {} p50_us {p50_us} server_cpu_us_per_op {}; reference kernel {} us (closed), {} us (open); server busy {:.3} of the closed loop",
         run.ops_per_s,
-        quantile(&mut run.latencies, 0.50),
-        1.0 - ratio(run.total.failed as f64, run.total.attempted as f64),
         run.cpu_us_per_op,
+        run.closed_kernel_us,
+        run.open_kernel_us,
+        run.ops_per_s * run.cpu_us_per_op / 1e6
+    );
+    let values = [
+        rate_at_ref(run.ops_per_s, run.closed_kernel_us),
+        time_at_ref(p50_us, run.open_kernel_us),
+        1.0 - ratio(run.total.failed as f64, run.total.attempted as f64),
+        time_at_ref(run.cpu_us_per_op, run.closed_kernel_us),
         run.rss_mb,
         ratio(run.dir_bytes as f64, live),
         median(&mut setup_secs),
@@ -407,7 +447,11 @@ fn traced(args: &Args, plans: &Plans) -> Result<(Run, Metrics)> {
         context_switches: run.context_switches,
         ssts_end: run.ssts,
         send_lag_p99_us: quantile(&mut run.lags, 0.99),
+        p50_us: quantile(&mut run.latencies, 0.50),
         p99_us: quantile(&mut run.latencies, 0.99),
+        ops_per_s: run.ops_per_s,
+        closed_kernel_us: run.closed_kernel_us,
+        open_kernel_us: run.open_kernel_us,
     };
     let values = ledger::values(&measured, &trace);
     eprintln!(
@@ -454,7 +498,7 @@ fn stamp(args: &Args, plans: &Plans) -> Result<String> {
     let config = abase_lavastore::DbConfig::default();
     let io_threads = abase_core::FrontEndConfig::default().workers;
     Ok(format!(
-        "{{\"tenantbench\": {{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"git_sha\": \"{}\", \"nproc\": {nproc}, \"rustc\": \"{rustc}\", \"server\": {{\"block_cache_bytes\": {}, \"io_threads\": {io_threads}, \"wal\": \"group commit, flushed to the OS every {} KiB or {} ms, no fsync per write\", \"memtable_bytes\": {}, \"stripes\": {}}}, \"open_rate\": {}, \"closed_ops\": {}, \"flight\": {FLIGHT}, \"flights_out\": {FLIGHTS_OUT}}}}}",
+        "{{\"tenantbench\": {{\"workload\": \"{}\", \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"git_sha\": \"{}\", \"nproc\": {nproc}, \"rustc\": \"{rustc}\", \"server\": {{\"block_cache_bytes\": {}, \"io_threads\": {io_threads}, \"wal\": \"group commit, flushed to the OS every {} KiB or {} ms, no fsync per write\", \"memtable_bytes\": {}, \"stripes\": {}}}, \"open_rate\": {}, \"closed_ops\": {}, \"flight\": {FLIGHT}, \"flights_out\": {FLIGHTS_OUT}, \"generator_cpu\": {}, \"server_cpu\": {}, \"ref_kernel_us\": {REF_KERNEL_US}}}}}",
         args.workload.name(),
         args.seed,
         args.seconds,
@@ -467,6 +511,8 @@ fn stamp(args: &Args, plans: &Plans) -> Result<String> {
         config.n_stripes,
         args.workload.open_rate(),
         plans.closed.ops.len(),
+        args.placement.generator,
+        args.placement.server,
     ))
 }
 

@@ -1,6 +1,7 @@
 //! The server under test, seen from outside: the unmodified `abase-server`
 //! binary as a child process, its `METRICS` exposition, and `/proc/<pid>`.
 
+use crate::host::CpuSet;
 use crate::Result;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
@@ -31,10 +32,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start `bin` on an ephemeral loopback port over an empty `dir`, and
-    /// wait until it reports its listening address. The server is killed
-    /// if this process dies first.
-    pub fn spawn(bin: &Path, dir: PathBuf) -> Result<Server> {
+    /// Start `bin` on an ephemeral loopback port over an empty `dir`, pinned
+    /// to vCPU `cpu`, and wait until it reports its listening address. The
+    /// server is killed if this process dies first.
+    pub fn spawn(bin: &Path, dir: PathBuf, cpu: usize) -> Result<Server> {
         if dir.exists() {
             std::fs::remove_dir_all(&dir)?;
         }
@@ -47,10 +48,12 @@ impl Server {
         for var in SERVER_ENV {
             cmd.env_remove(var);
         }
+        let cpus = CpuSet::one(cpu);
         // SAFETY: the closure runs in the forked child before exec and makes
-        // one async-signal-safe system call.
+        // two async-signal-safe system calls.
         unsafe {
-            cmd.pre_exec(|| {
+            cmd.pre_exec(move || {
+                cpus.pin_current()?;
                 extern "C" {
                     fn prctl(option: i32, ...) -> i32;
                 }
@@ -160,6 +163,26 @@ fn status_field(status: &str, name: &str) -> Option<u64> {
         .find_map(|l| l.strip_prefix(name))
         .and_then(|rest| rest.split_whitespace().next())
         .and_then(|v| v.parse().ok())
+}
+
+/// Write every file under `dir` through to the disk, so that no set-up
+/// data is still dirty in the page cache, waiting for the kernel's
+/// writeback, when a phase is timed. A file the server removes meanwhile
+/// is skipped.
+pub fn sync_dir(dir: &Path) -> Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            sync_dir(&path)?;
+            continue;
+        }
+        match std::fs::File::open(&path) {
+            Ok(file) => file.sync_all()?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 /// Total bytes of the regular files under `dir`, and how many are SSTs.

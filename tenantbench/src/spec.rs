@@ -15,9 +15,12 @@ use rand::{Rng, SeedableRng};
 /// Commands per pipelined flight in the closed loop.
 pub const FLIGHT: usize = 64;
 /// Flights the closed loop keeps outstanding: enough that the server
-/// always finds a flight queued, so `ops_per_s` tracks the server's
-/// capacity rather than client wake-ups.
-pub const FLIGHTS_OUT: usize = 4;
+/// always finds a flight queued, so throughput tracks the server's
+/// capacity rather than client wake-ups. Eight flights are about 6 ms of
+/// `hash_scan` work for the server, more than the generator's vCPU is
+/// stopped for at a time on a shared host; with four the server sat idle
+/// for up to a fifth of some runs.
+pub const FLIGHTS_OUT: usize = 8;
 /// String keys in `write_heavy`: 200k x 1 KiB, about 200 MiB, over three
 /// times the 64 MiB default block cache.
 pub const KEYS: u32 = 200_000;
@@ -113,6 +116,16 @@ impl Workload {
         match self {
             Workload::WriteHeavy => 8_000,
             Workload::HashScan => 15_000,
+        }
+    }
+
+    /// Set-ups per untraced run; `setup_s` is their median. `hash_scan`'s
+    /// set-up takes tens of milliseconds, mostly the server's start, so it
+    /// takes more of them.
+    pub fn setups(self) -> usize {
+        match self {
+            Workload::WriteHeavy => 3,
+            Workload::HashScan => 9,
         }
     }
 

@@ -15,6 +15,11 @@ pub fn median(samples: &mut [f64]) -> f64 {
     quantile(samples, 0.5)
 }
 
+/// The arithmetic mean; 0 when empty.
+pub fn mean(samples: &[f64]) -> f64 {
+    ratio(samples.iter().sum(), samples.len() as f64)
+}
+
 /// `num / den`, or 0 when nothing was counted.
 pub fn ratio(num: f64, den: f64) -> f64 {
     if den > 0.0 {
@@ -36,6 +41,8 @@ mod tests {
         assert_eq!(quantile(&mut v, 1.0), 100.0);
         assert_eq!(quantile(&mut v, 0.0), 1.0);
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(mean(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(mean(&[]), 0.0);
         assert_eq!(quantile(&mut [], 0.5), 0.0);
         assert_eq!(ratio(1.0, 0.0), 0.0);
     }
