@@ -1,16 +1,17 @@
-//! Connection-scaling: the epoll front end vs thread-per-connection.
+//! Connection-scaling of the epoll front end.
 //!
 //! Holds a mostly-idle fleet of clients (1k, then 10k) against an in-process
 //! `RespServer` while a hot subset round-trips SET/GETs, and records:
 //!
 //! - hot-path ops/s and p50/p99 latency with the idle fleet attached,
 //! - RSS and OS-thread deltas for carrying the fleet (the event loop adds
-//!   ~zero threads; the thread-per-conn baseline adds one per client),
+//!   ~zero threads),
 //! - pipelined vs serial throughput on a single connection (the batch
 //!   executor + one vectored write per batch must clear 2x).
 //!
-//! The thread-per-conn arm only runs at the 1k tier — 10k threads is the
-//! failure mode this PR deletes, not a configuration worth timing.
+//! The committed `BENCH_conn.json` also holds a thread-per-connection row
+//! at the 1k tier (+1000 threads): the last run of the serving model this
+//! front end replaced, which this bench no longer produces.
 //!
 //! Writes `BENCH_conn.json` at the repo root. `ABASE_BENCH_SMOKE=1` shrinks
 //! fleet sizes and op counts for CI smoke runs (numbers are then noisy and
@@ -28,8 +29,7 @@ use std::time::Instant;
 
 const PIPELINE_BATCH: usize = 64;
 
-struct ArmResult {
-    arm: &'static str,
+struct TierResult {
     idle_conns: usize,
     hot_clients: usize,
     ops_per_sec: f64,
@@ -43,7 +43,7 @@ fn main() {
     let smoke = std::env::var("ABASE_BENCH_SMOKE").is_ok_and(|v| v == "1");
     banner(
         "CONN",
-        "Connection scaling: epoll event-loop workers vs thread-per-connection",
+        "Connection scaling: epoll event-loop workers",
         "10k mostly-idle clients ride on a fixed worker pool; pipelining >= 2x serial",
     );
 
@@ -67,18 +67,14 @@ fn main() {
     let (hot_clients, hot_ops) = if smoke { (4, 100) } else { (16, 1_500) };
     let pipeline_ops = if smoke { 2_048 } else { 64_000 };
 
-    let mut results = Vec::new();
-    for (i, &idle) in idle_tiers.iter().enumerate() {
-        results.push(run_arm("event_loop", idle, hot_clients, hot_ops));
-        // Baseline only at the smallest tier.
-        if i == 0 {
-            results.push(run_arm("thread_per_conn", idle, hot_clients, hot_ops));
-        }
-    }
+    let results: Vec<TierResult> = idle_tiers
+        .iter()
+        .map(|&idle| run_tier(idle, hot_clients, hot_ops))
+        .collect();
     for r in &results {
         println!(
-            "{:>16} idle={:>6}: {:>9.0} ops/s  p50 {:>5}us  p99 {:>6}us  rss +{:>7} kB  threads {:+}",
-            r.arm, r.idle_conns, r.ops_per_sec, r.p50_micros, r.p99_micros, r.rss_delta_kb, r.thread_delta
+            "event_loop idle={:>6}: {:>9.0} ops/s  p50 {:>5}us  p99 {:>6}us  rss +{:>7} kB  threads {:+}",
+            r.idle_conns, r.ops_per_sec, r.p50_micros, r.p99_micros, r.rss_delta_kb, r.thread_delta
         );
     }
 
@@ -92,10 +88,9 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"arm\": \"{}\", \"idle_conns\": {}, \"hot_clients\": {}, \
+                "    {{\"arm\": \"event_loop\", \"idle_conns\": {}, \"hot_clients\": {}, \
                  \"ops_per_sec\": {:.1}, \"p50_micros\": {}, \"p99_micros\": {}, \
                  \"rss_delta_kb\": {}, \"thread_delta\": {}}}",
-                r.arm,
                 r.idle_conns,
                 r.hot_clients,
                 r.ops_per_sec,
@@ -119,19 +114,16 @@ fn main() {
     println!("wrote {out}");
 }
 
-/// One serving arm: start a server, attach `idle` silent clients, then time
+/// One fleet tier: start a server, attach `idle` silent clients, then time
 /// `hot_clients` serial SET/GET round-trip loops against it.
-fn run_arm(arm: &'static str, idle: usize, hot_clients: usize, hot_ops: usize) -> ArmResult {
-    let dir = TestDir::new(&format!("conn-bench-{arm}-{idle}"));
+fn run_tier(idle: usize, hot_clients: usize, hot_ops: usize) -> TierResult {
+    let dir = TestDir::new(&format!("conn-bench-{idle}"));
     // Default (not small_for_tests) config: big memtables keep the SST count
     // — and so the engine's fd usage — near zero at 10k connections.
     let engine = Arc::new(TableEngine::open(dir.path(), DbConfig::default()).unwrap());
-    let mut server = RespServer::bind(engine, "127.0.0.1:0")
+    let server = RespServer::bind(engine, "127.0.0.1:0")
         .unwrap()
         .max_clients(idle + hot_clients + 64);
-    if arm == "thread_per_conn" {
-        server = server.thread_per_conn();
-    }
     let addr = server.local_addr().unwrap();
     let handle = server.shutdown_handle();
     let runner = std::thread::spawn(move || server.run());
@@ -139,7 +131,7 @@ fn run_arm(arm: &'static str, idle: usize, hot_clients: usize, hot_ops: usize) -
     let (rss_before, threads_before) = proc_status();
     let fleet = connect_fleet(addr, idle);
     // Every idle client PINGs once so each one is registered with a worker
-    // (or owns its thread, in the baseline) before measurement starts.
+    // before measurement starts.
     let (rss_after, threads_after) = proc_status();
 
     // Hot subset: dedicated connections doing serial SET/GET round-trips,
@@ -171,8 +163,7 @@ fn run_arm(arm: &'static str, idle: usize, hot_clients: usize, hot_ops: usize) -
     let elapsed = started.elapsed().as_secs_f64();
     latencies.sort_unstable();
     let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-    let result = ArmResult {
-        arm,
+    let result = TierResult {
         idle_conns: idle,
         hot_clients,
         // Each latency sample covers a SET + a GET: two commands.

@@ -3,10 +3,9 @@
 //! A [`Conn`] owns one client socket plus everything the socket's protocol
 //! position needs to survive `WouldBlock`: the partial-frame read buffer,
 //! parsed-but-unexecuted frames, the bounded write queue, and the session
-//! state (tenant, consistency level, LSN fence). The same machine serves
-//! both front-end models — the epoll workers drive it with non-blocking
-//! sockets, and the legacy thread-per-connection baseline drives it with
-//! blocking reads — so pipelining semantics are identical in both.
+//! state (tenant, consistency level, LSN fence). The epoll workers drive it
+//! with non-blocking sockets; an offload thread drives the rest of a batch
+//! that stopped at a blocking command.
 //!
 //! **Pipelining.** One readable event drains the socket, batch-parses every
 //! complete frame ([`RespValue::parse_batch`]), executes the batch in wire
@@ -50,13 +49,10 @@ pub(crate) enum Step {
     /// Drop the connection (EOF, I/O error, or fatal protocol error with the
     /// error reply already flushed).
     Close,
-    /// The next command may block (replicated write, fenced `WAIT`): take
-    /// the connection off the loop and finish the batch on an offload
-    /// thread.
+    /// The next command may block (replicated write, fenced `WAIT`, or
+    /// `PSYNC`): take the connection off the loop and finish the batch on an
+    /// offload thread, where `PSYNC` turns it into a replica stream.
     Offload,
-    /// The next command is `PSYNC`: the connection becomes a replica stream
-    /// and never returns to the command loop.
-    Psync,
 }
 
 /// Track per-server open/accepted/evicted counts for `INFO` and the
@@ -112,7 +108,7 @@ pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
     /// Raw bytes read but not yet parsed (at most a partial frame once a
     /// batch has been drained).
-    pub(crate) inbuf: Vec<u8>,
+    inbuf: Vec<u8>,
     /// Parsed frames not yet executed (non-empty only across an offload
     /// handoff or when execution stopped at a blocking command).
     pending: VecDeque<RespValue>,
@@ -242,18 +238,13 @@ impl Conn {
                 }
             }
             let mut batch_commands = 0u64;
-            let step = loop {
+            let offload = loop {
                 let Some(value) = self.pending.front() else {
-                    break None;
+                    break false;
                 };
                 let command = Command::from_resp(value);
-                if ctx.replication.is_some() {
-                    if matches!(command, Ok(Command::PSync { .. })) {
-                        break Some(Step::Psync);
-                    }
-                    if may_block(&command, ctx) {
-                        break Some(Step::Offload);
-                    }
+                if ctx.replication.is_some() && may_block(&command, ctx) {
+                    break true;
                 }
                 // INVARIANT: the loop head peeked `front()` as Some.
                 let value = self.pending.pop_front().expect("front checked");
@@ -264,17 +255,13 @@ impl Conn {
             if batch_commands > 0 && abase_obs::enabled() {
                 metrics::PIPELINE_BATCH.record(batch_commands);
             }
-            match step {
-                Some(step) => {
-                    // The handoff flushes what the batch produced so far.
-                    return step;
-                }
-                None => {
-                    if let Some(e) = self.protocol_error.take() {
-                        self.push_reply(&RespValue::Error(format!("ERR protocol: {e}")));
-                        self.closing = true;
-                    }
-                }
+            if offload {
+                // The offload thread flushes what the batch produced so far.
+                return Step::Offload;
+            }
+            if let Some(e) = self.protocol_error.take() {
+                self.push_reply(&RespValue::Error(format!("ERR protocol: {e}")));
+                self.closing = true;
             }
         }
         if self.flush_nonblocking().is_err() {
@@ -287,7 +274,8 @@ impl Conn {
     }
 
     /// Execute one command against the shared dispatcher, with the same
-    /// span/metrics/slowlog instrumentation in both front-end models.
+    /// span/metrics/slowlog instrumentation on the worker and on an offload
+    /// thread.
     pub(crate) fn execute(
         &mut self,
         value: &RespValue,
@@ -357,9 +345,8 @@ impl Conn {
         Ok(())
     }
 
-    /// Drain every queued reply with blocking writes (offload threads and
-    /// the thread-per-connection baseline; the socket must be in blocking
-    /// mode).
+    /// Drain every queued reply with blocking writes (offload threads; the
+    /// socket must be in blocking mode).
     pub(crate) fn flush_blocking(&mut self) -> std::io::Result<()> {
         while let Some(front) = self.out.front() {
             let pos = self.out_head_pos;
@@ -407,75 +394,15 @@ impl Conn {
     pub(crate) fn pop_pending(&mut self) -> Option<RespValue> {
         self.pending.pop_front()
     }
-
-    /// Consume the `PSYNC` frame at the head of the pending queue and return
-    /// its requested position (the thread-per-connection baseline's handoff;
-    /// the caller has classified the head as `PSYNC` already).
-    pub(crate) fn psync_position(&mut self) -> Option<(u64, u64)> {
-        match self.pop_pending().map(|v| Command::from_resp(&v)) {
-            Some(Ok(Command::PSync { position })) => position,
-            _ => None,
-        }
-    }
-
-    /// The baseline counterpart of [`Conn::process`]: parse every complete
-    /// frame and execute the whole batch inline — blocking commands block
-    /// this connection's own thread, which is the model — then flush with
-    /// blocking writes. `PSYNC` still steps out (the caller upgrades the
-    /// socket into a replica stream).
-    pub(crate) fn process_blocking(&mut self, ctx: &ConnCtx) -> Step {
-        if self.protocol_error.is_none() && !self.inbuf.is_empty() {
-            let (batch, status) = RespValue::parse_batch(&self.inbuf);
-            self.inbuf.drain(..batch.consumed);
-            self.pending.extend(batch.frames);
-            if let Err(e) = status {
-                self.protocol_error = Some(e);
-                self.inbuf.clear();
-            }
-        }
-        let mut batch_commands = 0u64;
-        let mut psync = false;
-        while let Some(value) = self.pending.front() {
-            let command = Command::from_resp(value);
-            if ctx.replication.is_some() && matches!(command, Ok(Command::PSync { .. })) {
-                psync = true;
-                break;
-            }
-            // INVARIANT: the loop head peeked `front()` as Some.
-            let value = self.pending.pop_front().expect("front checked");
-            let reply = self.execute(&value, command, ctx);
-            self.push_reply(&reply);
-            batch_commands += 1;
-        }
-        if batch_commands > 0 && abase_obs::enabled() {
-            metrics::PIPELINE_BATCH.record(batch_commands);
-        }
-        if !psync {
-            if let Some(e) = self.protocol_error.take() {
-                self.push_reply(&RespValue::Error(format!("ERR protocol: {e}")));
-                self.closing = true;
-            }
-        }
-        if self.flush_blocking().is_err() {
-            return Step::Close;
-        }
-        if psync {
-            return Step::Psync;
-        }
-        if self.closing {
-            return Step::Close;
-        }
-        Step::Continue
-    }
 }
 
-/// Commands that may park the serving thread when a replication plane is
-/// attached: replicated writes commit under the group's write concern, and
-/// `WAIT` drives follower acks up to its timeout. (`PSYNC` is classified
-/// separately — it never comes back.)
+/// Commands that must leave the event loop when a replication plane is
+/// attached: replicated writes commit under the group's write concern,
+/// `WAIT` drives follower acks up to its timeout, and `PSYNC` turns the
+/// connection into a replica stream.
 fn may_block(command: &Result<Command, ParseCommandError>, ctx: &ConnCtx) -> bool {
     match command {
-        Ok(Command::Wait { .. }) => true,
+        Ok(Command::Wait { .. } | Command::PSync { .. }) => true,
         Ok(c) => c.is_write() && !ctx.read_only,
         Err(_) => false,
     }

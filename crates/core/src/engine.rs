@@ -71,11 +71,6 @@ impl TableEngine {
         Arc::clone(&self.db.read())
     }
 
-    /// A shareable handle to the store, for wiring into a replica group.
-    pub fn shared_db(&self) -> Arc<Db> {
-        self.db()
-    }
-
     /// Replace the underlying store. Commands already executing finish
     /// against the handle they cloned; new commands see the replacement —
     /// exactly the semantics a follower needs when a full resync swaps its

@@ -1,18 +1,19 @@
 //! The event-driven front end: epoll accept loop + worker pool.
 //!
-//! A [`RespServer`](crate::server::RespServer) in its default model serves
-//! every client connection from a **small, fixed pool of event-loop
+//! A [`RespServer`](crate::server::RespServer) serves every client
+//! connection from a **small, fixed pool of event-loop
 //! workers**: the accept loop shards fresh sockets round-robin across
 //! workers, each worker drives its connections' state machines
 //! ([`Conn`](crate::conn::Conn)) off one [`Poller`], and an idle connection
 //! costs one registered fd — not an OS thread and its stack. 10k mostly-idle
 //! clients are served by `workers + 1` threads.
 //!
-//! Blocking paths leave the loop instead of stalling it: a replicated write
-//! or fenced `WAIT` moves its connection to a short-lived offload thread for
-//! the rest of the batch (commands stay in wire order — the connection is
-//! off the poller while offloaded), and `PSYNC` hands the socket to the
-//! replica-stream path permanently. `serve_replica_stream` and follow-mode
+//! Blocking paths leave the loop instead of stalling it: a replicated write,
+//! fenced `WAIT` or `PSYNC` moves its connection to a short-lived offload
+//! thread for the rest of the batch (commands stay in wire order — the
+//! connection is off the poller while offloaded). The offload thread hands
+//! the connection back to its worker, or, for `PSYNC`, turns the socket into
+//! a replica stream for good. `serve_replica_stream` and follow-mode
 //! pumps keep their dedicated threads: they are few and throughput-bound.
 //!
 //! Shutdown is deterministic: [`ShutdownHandle::shutdown`] flips the flag
@@ -27,18 +28,17 @@ use abase_proto::Command;
 use abase_util::lockrank::{rank, RankedMutex};
 use abase_util::poller::{Events, Interest, Poller, Waker};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Front-end serving model and guardrails.
+/// Front-end worker pool size and guardrails.
 #[derive(Debug, Clone)]
 pub struct FrontEndConfig {
-    /// Event-loop worker count (clamped to 1..=16). Ignored by the
-    /// thread-per-connection baseline.
+    /// Event-loop worker count (clamped to 1..=16).
     pub workers: usize,
     /// Connection cap: accepts beyond it are refused with
     /// `-ERR max number of clients reached` (Redis semantics).
@@ -47,10 +47,6 @@ pub struct FrontEndConfig {
     /// reaper). Driven by the event loop's timer wheel; granularity is
     /// `timeout / 32`, floored at 1 ms.
     pub idle_timeout: Option<Duration>,
-    /// Serve with the legacy one-OS-thread-per-connection model instead of
-    /// the event loop — kept as the measurable baseline for the
-    /// connection-scaling bench.
-    pub thread_per_conn: bool,
 }
 
 impl Default for FrontEndConfig {
@@ -62,7 +58,6 @@ impl Default for FrontEndConfig {
                 .clamp(2, 8),
             max_clients: 10_000,
             idle_timeout: None,
-            thread_per_conn: false,
         }
     }
 }
@@ -169,9 +164,6 @@ pub(crate) fn run_front_end(
     config: FrontEndConfig,
     shutdown: Arc<Shutdown>,
 ) -> std::io::Result<()> {
-    if config.thread_per_conn {
-        return accept_loop(listener, ctx, config, shutdown, Vec::new());
-    }
     let n_workers = config.workers.clamp(1, 16);
     let mut workers = Vec::with_capacity(n_workers);
     for _ in 0..n_workers {
@@ -205,10 +197,9 @@ pub(crate) fn run_front_end(
     result
 }
 
-/// Accept connections until shutdown. With event-loop workers, sockets are
-/// sharded round-robin; in the baseline model each socket gets its own
-/// serving thread. Either way the max-clients cap and deterministic
-/// (waker-driven) shutdown apply.
+/// Accept connections until shutdown, sharding sockets round-robin across
+/// the event-loop workers. The max-clients cap and deterministic
+/// (waker-driven) shutdown apply here.
 fn accept_loop(
     listener: TcpListener,
     ctx: Arc<ConnCtx>,
@@ -260,21 +251,13 @@ fn accept_loop(
                 refuse_over_capacity(stream, &ctx);
                 continue;
             }
-            if config.thread_per_conn {
-                let guard = ConnGuard::open(Arc::clone(&ctx.stats), "accept");
-                let ctx = Arc::clone(&ctx);
-                let _ = std::thread::Builder::new()
-                    .name("abase-conn".into())
-                    .spawn(move || serve_blocking(stream, ctx, guard));
-            } else {
-                let idx = next_worker;
-                next_worker = (next_worker + 1) % workers.len();
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let guard = ConnGuard::open(Arc::clone(&ctx.stats), worker_label(idx));
-                workers[idx].send(Conn::new(stream, idx, guard));
+            let idx = next_worker;
+            next_worker = (next_worker + 1) % workers.len();
+            if stream.set_nonblocking(true).is_err() {
+                continue;
             }
+            let guard = ConnGuard::open(Arc::clone(&ctx.stats), worker_label(idx));
+            workers[idx].send(Conn::new(stream, idx, guard));
         }
     }
     Ok(())
@@ -403,7 +386,7 @@ fn settle(
                 let _ = poller.deregister(fd);
             }
         }
-        Step::Offload | Step::Psync => {
+        Step::Offload => {
             if conn.registered {
                 let _ = poller.deregister(fd);
                 conn.registered = false;
@@ -451,38 +434,6 @@ fn offload_batch(mut conn: Conn, ctx: Arc<ConnCtx>, home: Arc<WorkerShared>) {
         return;
     }
     home.send(conn);
-}
-
-/// The legacy thread-per-connection serving loop, retained as the
-/// connection-scaling baseline: blocking reads, the same state machine and
-/// batch semantics, blocking flushes.
-fn serve_blocking(stream: TcpStream, ctx: Arc<ConnCtx>, guard: ConnGuard) {
-    let mut conn = Conn::new(stream, 0, guard);
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        let n = match conn.stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
-        };
-        conn.inbuf.extend_from_slice(&chunk[..n]);
-        match conn.process_blocking(&ctx) {
-            Step::Continue => {}
-            Step::Close | Step::Offload => return,
-            Step::Psync => {
-                let position = conn.psync_position();
-                let replica_id = conn.state.replica_id;
-                let leftover = conn.take_leftover();
-                let Conn { stream, guard, .. } = conn;
-                if let Some(repl) = ctx.replication.as_deref() {
-                    let _ = serve_replica_connection(stream, leftover, position, replica_id, repl);
-                }
-                drop(guard);
-                return;
-            }
-        }
-    }
 }
 
 /// Reap connections idle past the timeout. Lazy timer wheel: tokens are

@@ -7,9 +7,7 @@
 //! epoll event-loop workers (see [`crate::event_loop`]) with real pipelining
 //! — one readable event drains every complete frame, executes the batch in
 //! wire order, and answers with one vectored write — so 10k mostly-idle
-//! clients cost registered fds, not OS threads. The legacy
-//! thread-per-connection model survives behind
-//! [`FrontEndConfig::thread_per_conn`] as the measurable baseline.
+//! clients cost registered fds, not OS threads.
 //!
 //! When the node's engine fronts a replica-group leader, attach the group via
 //! [`RespServer::with_replication`]: every RESP write is committed under the
@@ -326,13 +324,6 @@ impl RespServer {
         self
     }
 
-    /// Replace the whole front-end configuration (serving model, worker
-    /// count, max-clients cap, idle timeout).
-    pub fn with_front_end(mut self, config: FrontEndConfig) -> Self {
-        self.front_end = config;
-        self
-    }
-
     /// Event-loop worker count (clamped to 1..=16 at run time).
     pub fn io_threads(mut self, workers: usize) -> Self {
         self.front_end.workers = workers;
@@ -349,13 +340,6 @@ impl RespServer {
     /// Evict connections idle longer than `timeout`.
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.front_end.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Serve with the legacy one-OS-thread-per-connection model (the
-    /// connection-scaling baseline).
-    pub fn thread_per_conn(mut self) -> Self {
-        self.front_end.thread_per_conn = true;
         self
     }
 
@@ -399,15 +383,9 @@ impl RespServer {
         }
     }
 
-    /// Serve connections until shut down: the event-loop worker pool by
-    /// default, one thread per connection when the baseline model is
-    /// configured.
+    /// Serve connections on the event-loop worker pool until shut down.
     pub fn run(self) -> std::io::Result<()> {
-        let io_threads = if self.front_end.thread_per_conn {
-            0
-        } else {
-            self.front_end.workers.clamp(1, 16)
-        };
+        let io_threads = self.front_end.workers.clamp(1, 16);
         let ctx = Arc::new(ConnCtx {
             engine: self.engine,
             clock: self.clock_micros,
@@ -459,8 +437,7 @@ pub(crate) struct ConnCtx {
     pub(crate) repl_info: Option<Arc<dyn Fn() -> ReplInfo + Send + Sync>>,
     pub(crate) started: Instant,
     pub(crate) stats: Arc<FrontEndStats>,
-    /// Event-loop worker count `INFO server` reports (0 in the
-    /// thread-per-connection baseline).
+    /// Event-loop worker count `INFO server` reports.
     pub(crate) io_threads: usize,
 }
 

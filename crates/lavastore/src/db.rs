@@ -562,10 +562,19 @@ impl Db {
             // write that was never made durable.
             self.log.commit(seq)?;
         }
+        self.apply_logged(&record)?;
+        Ok(seq)
+    }
+
+    /// The memtable half of every write, once `record` is in the WAL: apply
+    /// it to its stripe, publish its seq, and flush the stripe if it crossed
+    /// its memtable budget.
+    #[inline]
+    fn apply_logged(&self, record: &Record) -> Result<()> {
         let s = self.stripe_of(&record.key);
         let over_threshold = {
             let mut stripe = self.stripes[s].write();
-            stripe.memtable.apply(&record);
+            stripe.memtable.apply(record);
             stripe.memtable.approximate_bytes() >= self.per_stripe_memtable_bytes()
         };
         self.marks[s]
@@ -573,12 +582,12 @@ impl Db {
             // ORDER: AcqRel; the Release half publishes the memtable apply
             // above to `advance_floor_locked`'s Acquire load, so a floor
             // computed from this mark never outruns the stripe's contents.
-            .fetch_max(seq, Ordering::AcqRel);
-        self.tracker.complete(seq);
+            .fetch_max(record.seq, Ordering::AcqRel);
+        self.tracker.complete(record.seq);
         if over_threshold {
             self.flush_stripe(s)?;
         }
-        Ok(seq)
+        Ok(())
     }
 
     /// Insert or overwrite `key` with `value`, optionally expiring at the
@@ -631,25 +640,11 @@ impl Db {
         if self.config.sync_wal {
             self.log.commit(record.seq)?;
         }
-        let s = self.stripe_of(&record.key);
-        let over_threshold = {
-            let mut stripe = self.stripes[s].write();
-            stripe.memtable.apply(record);
-            stripe.memtable.approximate_bytes() >= self.per_stripe_memtable_bytes()
-        };
-        self.marks[s]
-            .highest_applied
-            // ORDER: AcqRel; same pairing as `write_record` — publishes the
-            // apply to `advance_floor_locked`'s Acquire load.
-            .fetch_max(record.seq, Ordering::AcqRel);
-        self.tracker.complete(record.seq);
         match record.kind {
             RecordKind::Put => self.stats.puts.fetch_add(1, Ordering::Relaxed),
             RecordKind::Delete => self.stats.deletes.fetch_add(1, Ordering::Relaxed),
         };
-        if over_threshold {
-            self.flush_stripe(s)?;
-        }
+        self.apply_logged(record)?;
         Ok(true)
     }
 
@@ -1072,7 +1067,7 @@ impl Db {
         let mut min_cov = u64::MAX;
         for marks in &self.marks {
             // ORDER: Acquire pair with the AcqRel fetch_max publishes in
-            // `flush_stripe`/`write_record`: a mark observed here implies
+            // `flush_stripe`/`apply_logged`: a mark observed here implies
             // the flush/apply it describes is visible too.
             let ft = marks.flushed_through.load(Ordering::Acquire);
             let ha = marks.highest_applied.load(Ordering::Acquire);

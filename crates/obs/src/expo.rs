@@ -4,6 +4,7 @@
 
 use crate::metric::Histo;
 use crate::registry::{entries, Handle};
+use abase_util::histogram::{bucket_mid, bucket_upper};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -18,7 +19,7 @@ fn render_histo(out: &mut String, name: &str, labels: &str, h: &Histo) {
     let mut cumulative = 0u64;
     let mut sum = 0.0f64;
     for (i, &c) in counts.iter().enumerate() {
-        sum += h.bucket_mid(i) * c as f64;
+        sum += bucket_mid(i) * c as f64;
         cumulative += c;
         // Only materialise boundaries up to the last occupied bucket: the
         // layout has ~332 buckets and emitting every empty tail would bloat
@@ -28,7 +29,7 @@ fn render_histo(out: &mut String, name: &str, labels: &str, h: &Histo) {
             let _ = writeln!(
                 out,
                 "{name}_bucket{{{labels}{sep}le=\"{upper}\"}} {cumulative}",
-                upper = h.bucket_upper(i)
+                upper = bucket_upper(i)
             );
         }
     }

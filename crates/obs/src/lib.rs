@@ -4,9 +4,9 @@
 //! atomic op per event and literally nothing when disabled:
 //!
 //! - [`metric`]: wait-free [`Counter`]/[`Gauge`]/[`Histo`] primitives. The
-//!   histogram shares its log-bucket layout with
-//!   `abase_util::LatencyHistogram` (10 µs–100 s, 5 % growth) and shards its
-//!   buckets across threads, so recording is a single `fetch_add`.
+//!   histogram records into `abase_util::histogram`'s log-bucket layout
+//!   (10 µs–100 s, 5 % growth) and shards its buckets across threads, so
+//!   recording is a single `fetch_add`.
 //! - [`registry`]: the process-global name → metric table. Instrumentation
 //!   sites declare `static` [`LazyCounter`]-style handles that register on
 //!   first touch and stay `&'static` forever. A global enabled flag turns

@@ -8,7 +8,7 @@
 //! their bucket arrays by thread so concurrent recorders on different cores
 //! do not fight over one cache line.
 
-use abase_util::LatencyHistogram;
+use abase_util::histogram::{self, LatencyHistogram};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// A monotonically increasing counter.
@@ -75,25 +75,9 @@ impl Gauge {
     }
 }
 
-/// Bucket-layout parameters shared with
-/// [`LatencyHistogram::for_latency_micros`]: 10 µs .. 100 s at 5 % growth.
-/// Keeping the layouts identical means a [`Histo`] snapshot converts
-/// losslessly into a `LatencyHistogram`, whose quantile math (geometric
-/// bucket midpoints, bounded relative error) is reused rather than
-/// reimplemented.
-pub const HISTO_MIN: f64 = 10.0;
-/// Upper clamp of the layout (values beyond land in the last bucket).
-pub const HISTO_MAX: f64 = 100_000_000.0;
-/// Per-bucket growth factor (~5 % relative error).
-pub const HISTO_GROWTH: f64 = 1.05;
-
 /// Bucket shards: concurrent recorders hash their thread onto one of these
 /// so a hot histogram does not serialize every core on one cache line.
 pub const HISTO_SHARDS: usize = 8;
-
-fn n_buckets() -> usize {
-    ((HISTO_MAX / HISTO_MIN).ln() / HISTO_GROWTH.ln()).ceil() as usize + 1
-}
 
 /// A stable per-thread shard index (threads are striped round-robin).
 #[inline]
@@ -107,11 +91,13 @@ fn shard_index() -> usize {
 
 /// A concurrent log-bucketed latency histogram (microsecond domain).
 ///
-/// Recording computes the bucket index (pure arithmetic) and performs a
-/// single relaxed `fetch_add` on the recorder thread's shard.
+/// The bucket layout is [`abase_util::histogram`]'s (10 µs .. 100 s at 5 %
+/// growth), so a snapshot converts into a [`LatencyHistogram`] bucket for
+/// bucket and reuses its quantile math. Recording computes the bucket index
+/// (pure arithmetic) and performs a single relaxed `fetch_add` on the
+/// recorder thread's shard.
 #[derive(Debug)]
 pub struct Histo {
-    log_growth: f64,
     shards: Box<[Box<[AtomicU64]>]>,
 }
 
@@ -124,42 +110,28 @@ impl Default for Histo {
 impl Histo {
     /// An empty histogram with the shared latency layout.
     pub fn new() -> Self {
-        let buckets = n_buckets();
         let shards = (0..HISTO_SHARDS)
             .map(|_| {
-                (0..buckets)
+                (0..histogram::BUCKETS)
                     .map(|_| AtomicU64::new(0))
                     .collect::<Vec<_>>()
                     .into_boxed_slice()
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        Self {
-            log_growth: HISTO_GROWTH.ln(),
-            shards,
-        }
-    }
-
-    #[inline]
-    fn bucket_index(&self, micros: u64) -> usize {
-        if micros as f64 <= HISTO_MIN {
-            return 0;
-        }
-        let idx = ((micros as f64 / HISTO_MIN).ln() / self.log_growth) as usize;
-        idx.min(self.shards[0].len() - 1)
+        Self { shards }
     }
 
     /// Record one observation of `micros`. One relaxed atomic op.
     #[inline]
     pub fn record(&self, micros: u64) {
-        let idx = self.bucket_index(micros);
+        let idx = histogram::bucket_index(micros as f64);
         self.shards[shard_index()][idx].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Per-bucket totals summed across shards.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        let buckets = self.shards[0].len();
-        let mut out = vec![0u64; buckets];
+        let mut out = vec![0u64; histogram::BUCKETS];
         for shard in self.shards.iter() {
             for (total, cell) in out.iter_mut().zip(shard.iter()) {
                 *total += cell.load(Ordering::Relaxed);
@@ -168,33 +140,16 @@ impl Histo {
         out
     }
 
-    /// The geometric midpoint of bucket `i` (the value quantiles report for
-    /// observations that landed there).
-    pub fn bucket_mid(&self, i: usize) -> f64 {
-        HISTO_MIN * (self.log_growth * (i as f64 + 0.5)).exp()
-    }
-
-    /// The upper bound of bucket `i` (Prometheus `le` boundary).
-    pub fn bucket_upper(&self, i: usize) -> f64 {
-        HISTO_MIN * (self.log_growth * (i as f64 + 1.0)).exp()
-    }
-
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.bucket_counts().iter().sum()
     }
 
-    /// Convert to a [`LatencyHistogram`] with the identical layout, reusing
-    /// its quantile math. Approximate sum/mean come from bucket midpoints
+    /// Convert to a [`LatencyHistogram`] over the same buckets, reusing its
+    /// quantile math. Approximate sum/mean come from bucket midpoints
     /// (bounded relative error, same contract as the quantiles).
     pub fn to_latency_histogram(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new(HISTO_MIN, HISTO_MAX, HISTO_GROWTH);
-        for (i, &c) in self.bucket_counts().iter().enumerate() {
-            if c > 0 {
-                h.record_n(self.bucket_mid(i), c);
-            }
-        }
-        h
+        LatencyHistogram::from_bucket_counts(&self.bucket_counts())
     }
 }
 
@@ -235,10 +190,12 @@ mod tests {
         // micros cannot distinguish neighbours; recording is integer-valued,
         // but the f64 midpoints used by `to_latency_histogram` must round-trip
         // everywhere integers can represent the bucket.
-        let h = Histo::new();
         for i in [0usize, 30, 60, 100, 200, 331] {
-            let mid = h.bucket_mid(i);
-            assert_eq!(h.bucket_index(mid as u64), i, "bucket {i} mid {mid}");
+            let mid = histogram::bucket_mid(i);
+            let h = Histo::new();
+            h.record(mid as u64);
+            let counts = h.bucket_counts();
+            assert_eq!(counts[i], 1, "bucket {i} mid {mid}");
         }
     }
 

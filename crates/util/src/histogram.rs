@@ -3,68 +3,91 @@
 //! Figure 4a of the paper reports per-tenant P99 latency relative to the SLA.
 //! Recording every request latency exactly would dominate simulation memory, so
 //! the simulator uses a histogram with logarithmically spaced buckets: constant
-//! relative error (~5 % by default) at any latency magnitude.
+//! relative error (~5 %) at any latency magnitude.
+//!
+//! This module owns the one bucket layout in the workspace — 10 µs .. 100 s
+//! at 5 % growth — and its bucket math. `abase_obs::Histo` records into the
+//! same layout through [`bucket_index`], so its snapshots convert into a
+//! [`LatencyHistogram`] bucket for bucket.
 
-/// A histogram over positive values with log-spaced buckets.
+/// Lower clamp of the layout in µs: values at or below land in bucket 0.
+const MIN_MICROS: f64 = 10.0;
+/// `1.05f64.ln()` (5 % bucket growth), spelled out because `f64::ln` is not
+/// `const`; a test pins it bit-for-bit.
+const LOG_GROWTH: f64 = 0.04879016416943205;
+/// Bucket count up to the 100 s upper clamp:
+/// `ceil(ln(1e8 / MIN_MICROS) / LOG_GROWTH) + 1`, pinned by a test. Values
+/// beyond the clamp land in the last bucket.
+pub const BUCKETS: usize = 332;
+
+/// The bucket holding `value` µs: bucket `i` covers
+/// `[MIN * growth^i, MIN * growth^(i+1))`.
+#[inline]
+pub fn bucket_index(value: f64) -> usize {
+    if value <= MIN_MICROS {
+        return 0;
+    }
+    let idx = ((value / MIN_MICROS).ln() / LOG_GROWTH) as usize;
+    idx.min(BUCKETS - 1)
+}
+
+/// The geometric midpoint of bucket `i` (the value a bucketed observation
+/// stands for in approximate sums).
+pub fn bucket_mid(i: usize) -> f64 {
+    MIN_MICROS * (LOG_GROWTH * (i as f64 + 0.5)).exp()
+}
+
+/// The upper bound of bucket `i` (Prometheus `le` boundary).
+pub fn bucket_upper(i: usize) -> f64 {
+    MIN_MICROS * (LOG_GROWTH * (i as f64 + 1.0)).exp()
+}
+
+/// A histogram of request latencies in microseconds over the shared
+/// log-spaced layout.
 ///
-/// Values are clamped into `[min, max]`. Quantile queries return the geometric
-/// midpoint of the bucket containing the requested rank, giving bounded relative
-/// error determined by `growth`.
+/// Values are clamped into 10 µs .. 100 s. Quantile queries return the
+/// geometric midpoint of the bucket containing the requested rank, giving
+/// ~5 % bounded relative error.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    min: f64,
-    /// log(growth); bucket i covers [min * growth^i, min * growth^(i+1)).
-    log_growth: f64,
     counts: Vec<u64>,
     total: u64,
     sum: f64,
 }
 
 impl LatencyHistogram {
-    /// A histogram covering `[min, max]` with buckets growing by factor `growth`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < min < max` and `growth > 1`.
-    pub fn new(min: f64, max: f64, growth: f64) -> Self {
-        assert!(min > 0.0 && max > min, "need 0 < min < max");
-        assert!(growth > 1.0, "growth factor must exceed 1");
-        let log_growth = growth.ln();
-        let n_buckets = ((max / min).ln() / log_growth).ceil() as usize + 1;
+    /// An empty histogram.
+    pub fn for_latency_micros() -> Self {
         Self {
-            min,
-            log_growth,
-            counts: vec![0; n_buckets],
+            counts: vec![0; BUCKETS],
             total: 0,
             sum: 0.0,
         }
     }
 
-    /// Histogram suited to request latencies in microseconds: 10 µs .. 100 s,
-    /// 5 % bucket growth.
-    pub fn for_latency_micros() -> Self {
-        Self::new(10.0, 100_000_000.0, 1.05)
-    }
-
-    fn bucket_index(&self, value: f64) -> usize {
-        if value <= self.min {
-            return 0;
+    /// A histogram holding per-bucket `counts` (at most [`BUCKETS`] of them)
+    /// recorded elsewhere in the same layout; each observation counts at
+    /// its bucket's midpoint toward the mean.
+    pub fn from_bucket_counts(counts: &[u64]) -> Self {
+        let mut h = Self::for_latency_micros();
+        for (i, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                h.counts[i] = c;
+                h.total += c;
+                h.sum += bucket_mid(i) * c as f64;
+            }
         }
-        let idx = ((value / self.min).ln() / self.log_growth) as usize;
-        idx.min(self.counts.len() - 1)
+        h
     }
 
     /// Record one observation.
     pub fn record(&mut self, value: f64) {
-        let idx = self.bucket_index(value.max(0.0));
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += value;
+        self.record_n(value, 1);
     }
 
     /// Record `n` identical observations.
     pub fn record_n(&mut self, value: f64, n: u64) {
-        let idx = self.bucket_index(value.max(0.0));
-        self.counts[idx] += n;
+        self.counts[bucket_index(value.max(0.0))] += n;
         self.total += n;
         self.sum += value * n as f64;
     }
@@ -96,24 +119,16 @@ impl LatencyHistogram {
             cum += c;
             if cum >= target {
                 // Geometric midpoint of bucket i.
-                let lo = self.min * (self.log_growth * i as f64).exp();
-                let hi = lo * self.log_growth.exp();
+                let lo = MIN_MICROS * (LOG_GROWTH * i as f64).exp();
+                let hi = lo * LOG_GROWTH.exp();
                 return Some((lo * hi).sqrt());
             }
         }
         unreachable!("cumulative count must reach total");
     }
 
-    /// Merge another histogram with identical bucket layout.
-    ///
-    /// # Panics
-    /// Panics if layouts differ.
+    /// Merge another histogram's observations into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        assert_eq!(self.counts.len(), other.counts.len(), "layout mismatch");
-        assert!(
-            (self.min - other.min).abs() < f64::EPSILON,
-            "layout mismatch"
-        );
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -187,12 +202,39 @@ mod tests {
     }
 
     #[test]
+    fn layout_constants_match_their_formulas() {
+        assert_eq!(LOG_GROWTH.to_bits(), 1.05f64.ln().to_bits());
+        let buckets = ((100_000_000.0 / MIN_MICROS).ln() / LOG_GROWTH).ceil() as usize + 1;
+        assert_eq!(BUCKETS, buckets);
+    }
+
+    #[test]
     fn out_of_range_values_clamp() {
-        let mut h = LatencyHistogram::new(10.0, 1000.0, 1.5);
+        let mut h = LatencyHistogram::for_latency_micros();
         h.record(1.0); // below min
         h.record(1e12); // above max
         assert_eq!(h.count(), 2);
         assert!(h.quantile(0.0).unwrap() >= 10.0);
+        assert_eq!(bucket_index(1e12), BUCKETS - 1);
+        assert!(h.quantile(1.0).unwrap() <= bucket_upper(BUCKETS - 1));
+    }
+
+    #[test]
+    fn bucket_counts_round_trip_through_midpoints() {
+        let mut counts = vec![0u64; BUCKETS];
+        counts[0] = 3;
+        counts[120] = 5;
+        counts[BUCKETS - 1] = 1;
+        let direct = LatencyHistogram::from_bucket_counts(&counts);
+        let mut recorded = LatencyHistogram::for_latency_micros();
+        for (i, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                recorded.record_n(bucket_mid(i), c);
+            }
+        }
+        assert_eq!(direct.counts, recorded.counts);
+        assert_eq!(direct.count(), 9);
+        assert_eq!(direct.mean().to_bits(), recorded.mean().to_bits());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end behavior of the event-driven RESP front end: partial-frame
 //! resume across `WouldBlock`, interleaved pipelined batches on one worker,
 //! write-buffer backpressure, the max-clients cap, idle-connection reaping,
-//! PSYNC handing the socket off the event loop, and deterministic shutdown.
+//! PSYNC handing the socket off the event loop, a pipelined batch crossing
+//! an offload, and deterministic shutdown.
 //!
 //! Invariants under test (see TESTING.md §Event-loop front end): commands on
 //! one connection are never reordered, a slow reader never stalls its
@@ -319,55 +320,85 @@ fn shutdown_also_drops_connected_clients() {
     }
 }
 
+/// A single-worker server whose engine leads a quorum replica group, with a
+/// remote follower attached over PSYNC and pumped on its own thread: every
+/// client write offloads and waits for that follower's ack. Dropping it
+/// stops the pump.
+struct QuorumServer {
+    addr: std::net::SocketAddr,
+    stop: Arc<AtomicBool>,
+    pump: Option<std::thread::JoinHandle<()>>,
+}
+
+impl QuorumServer {
+    fn start(tag: &str) -> Self {
+        let dir = unique_dir(tag);
+        let fdir = unique_dir(&format!("{tag}-follower"));
+        let group = ReplicaGroup::bootstrap(
+            1,
+            &dir,
+            &[1],
+            GroupConfig {
+                write_concern: WriteConcern::Quorum,
+                db: DbConfig::small_for_tests(),
+                wait_timeout: Duration::from_secs(5),
+            },
+        )
+        .unwrap();
+        let engine = Arc::new(TableEngine::from_db(group.leader_db().unwrap()));
+        let group = Arc::new(group.into_mutex());
+        // ONE worker: if PSYNC parked the replica stream on the event loop,
+        // no regular client could be served concurrently.
+        let server = RespServer::bind(engine, "127.0.0.1:0")
+            .unwrap()
+            .io_threads(1)
+            .with_replication(Arc::clone(&group) as Arc<dyn ReplicationControl>);
+        let addr = server.local_addr().unwrap();
+        std::thread::spawn(move || server.run());
+        let mut follower = SocketFollower::connect(
+            fdir.join("replica"),
+            DbConfig::small_for_tests(),
+            &addr.to_string(),
+            77,
+            0,
+        )
+        .unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let pump = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    if follower.pump().is_err() {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        };
+        QuorumServer {
+            addr,
+            stop,
+            pump: Some(pump),
+        }
+    }
+}
+
+impl Drop for QuorumServer {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(pump) = self.pump.take() {
+            let _ = pump.join();
+        }
+    }
+}
+
 #[test]
 fn psync_hands_the_socket_off_the_single_worker_event_loop() {
-    let dir = unique_dir("psync-handoff");
-    let fdir = unique_dir("psync-handoff-follower");
-    let group = ReplicaGroup::bootstrap(
-        1,
-        &dir,
-        &[1],
-        GroupConfig {
-            write_concern: WriteConcern::Quorum,
-            db: DbConfig::small_for_tests(),
-            wait_timeout: Duration::from_secs(5),
-        },
-    )
-    .unwrap();
-    let engine = Arc::new(TableEngine::from_db(group.leader_db().unwrap()));
-    let group = Arc::new(group.into_mutex());
-    // ONE worker: if PSYNC parked the replica stream on the event loop, the
-    // regular client below could never be served concurrently.
-    let server = RespServer::bind(engine, "127.0.0.1:0")
-        .unwrap()
-        .io_threads(1)
-        .with_replication(Arc::clone(&group) as Arc<dyn ReplicationControl>);
-    let addr = server.local_addr().unwrap();
-    std::thread::spawn(move || server.run());
-    let mut follower = SocketFollower::connect(
-        fdir.join("replica"),
-        DbConfig::small_for_tests(),
-        &addr.to_string(),
-        77,
-        0,
-    )
-    .unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let pump = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if follower.pump().is_err() {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })
-    };
+    let server = QuorumServer::start("psync-handoff");
     // While the replica stream lives on its dedicated thread, the single
     // event-loop worker keeps serving clients — including a quorum write
     // that needs the remote follower's ack (offloaded, then reinjected).
-    let mut client = TcpStream::connect(addr).unwrap();
+    let mut client = TcpStream::connect(server.addr).unwrap();
     let reply = roundtrip(&mut client, &cmd(&["SET", "k", "v"]));
     assert_eq!(reply, RespValue::ok(), "quorum write through the handoff");
     let reply = roundtrip(&mut client, &cmd(&["WAIT", "1", "5000"]));
@@ -381,8 +412,40 @@ fn psync_hands_the_socket_off_the_single_worker_event_loop() {
         roundtrip(&mut client, &cmd(&["PING"])),
         RespValue::Simple("PONG".into())
     );
-    stop.store(true, Ordering::Relaxed);
-    pump.join().unwrap();
+}
+
+#[test]
+fn pipelined_batch_crossing_an_offload_keeps_wire_order() {
+    let server = QuorumServer::start("batch-offload");
+    let mut client = TcpStream::connect(server.addr).unwrap();
+    // One write, four commands: the worker serves the first GET, stops at
+    // the replicated SET, and the offload thread serves the SET (blocking
+    // on the follower's ack), the second GET and the PING in wire order.
+    let mut batch = Vec::new();
+    batch.extend_from_slice(&cmd(&["GET", "a"]));
+    batch.extend_from_slice(&cmd(&["SET", "a", "v"]));
+    batch.extend_from_slice(&cmd(&["GET", "a"]));
+    batch.extend_from_slice(&cmd(&["PING"]));
+    client.write_all(&batch).unwrap();
+    assert_eq!(
+        read_replies(&mut client, 4),
+        vec![
+            RespValue::Bulk(None),
+            RespValue::ok(),
+            RespValue::bulk("v"),
+            RespValue::Simple("PONG".into()),
+        ]
+    );
+    // The connection went back to its worker: a second pipelined batch with
+    // no blocking command is read and served on the event loop.
+    let mut batch = Vec::new();
+    batch.extend_from_slice(&cmd(&["GET", "a"]));
+    batch.extend_from_slice(&cmd(&["PING"]));
+    client.write_all(&batch).unwrap();
+    assert_eq!(
+        read_replies(&mut client, 2),
+        vec![RespValue::bulk("v"), RespValue::Simple("PONG".into())]
+    );
 }
 
 #[test]
@@ -403,25 +466,4 @@ fn info_reports_connected_clients_and_io_threads() {
     assert!(info.contains("io_threads:3"), "{info}");
     assert!(info.contains("total_connections_received:"), "{info}");
     assert!(info.contains("evicted_clients:0"), "{info}");
-}
-
-#[test]
-fn thread_per_conn_baseline_still_serves_pipelined_batches() {
-    let dir = unique_dir("baseline");
-    let engine = Arc::new(TableEngine::open(&dir, DbConfig::small_for_tests()).unwrap());
-    let server = RespServer::bind(engine, "127.0.0.1:0")
-        .unwrap()
-        .thread_per_conn();
-    let addr = server.local_addr().unwrap();
-    std::thread::spawn(move || server.run());
-    let mut client = TcpStream::connect(addr).unwrap();
-    let mut batch = Vec::new();
-    batch.extend_from_slice(&cmd(&["SET", "k", "v"]));
-    batch.extend_from_slice(&cmd(&["GET", "k"]));
-    batch.extend_from_slice(&cmd(&["PING"]));
-    client.write_all(&batch).unwrap();
-    let replies = read_replies(&mut client, 3);
-    assert_eq!(replies[0], RespValue::ok());
-    assert_eq!(replies[1], RespValue::bulk("v"));
-    assert_eq!(replies[2], RespValue::Simple("PONG".into()));
 }
